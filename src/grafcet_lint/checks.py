@@ -182,20 +182,24 @@ class SafetyQuery:
 
 
 def parse_queries(data: list[dict]) -> list[SafetyQuery]:
+    """Parse query objects as found in a spec or a sidecar; ValueError if malformed."""
+    if not isinstance(data, (list, tuple)) or not all(isinstance(q, dict) for q in data):
+        raise ValueError("'queries' must be a list of objects")
     out = []
     for i, q in enumerate(data):
         kind = q.get("kind")
         name = q.get("name", f"query-{i}")
         if kind == "never-concurrent":
             steps = q.get("steps")
-            if not isinstance(steps, list) or len(steps) != 2:
+            if not isinstance(steps, list) or len(steps) != 2 or \
+                    not all(isinstance(g, str) for g in steps):
                 raise ValueError(f"query {name!r}: 'steps' must list two global step ids")
             out.append(SafetyQuery(name, kind, steps=(steps[0], steps[1])))
         elif kind == "never-coactive":
             terms = []
             for side in ("a", "b"):
                 term = q.get(side)
-                if not isinstance(term, dict) or "var" not in term:
+                if not isinstance(term, dict) or not isinstance(term.get("var"), str):
                     raise ValueError(f"query {name!r}: missing term {side!r}")
                 terms.append((term["var"], bool(term.get("value", True))))
             out.append(SafetyQuery(name, kind, terms=tuple(terms)))
@@ -219,13 +223,12 @@ def run_queries(
     sequential from simultaneous values and is prone to false alarms.
     """
     out = []
+    global_steps = {spec.global_step(c.id, s) for c in spec.partials for s in c.steps}
     for q in queries:
         if q.kind == "never-concurrent":
             a, b = q.steps
             for g in (a, b):
-                if "." not in g or g not in {
-                    spec.global_step(c.id, s) for c in spec.partials for s in c.steps
-                }:
+                if g not in global_steps:
                     raise ValueError(f"query {q.name!r}: unknown step {g!r}")
             if b in global_conc.get(a, ()):
                 out.append(

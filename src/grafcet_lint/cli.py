@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -42,8 +40,6 @@ def main(argv=None) -> int:
                          help="lowest severity that fails the run (default: warning)")
     analyze.add_argument("--no-timings", action="store_true",
                          help="omit wall-clock timings for byte-identical reports")
-    analyze.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="worker threads for per-partial analyses")
     analyze.set_defaults(func=_cmd_analyze)
 
     oracle = sub.add_parser("oracle", help="debug: explicit-state exploration")
@@ -75,22 +71,22 @@ def _load(path: str):
 
 def _cmd_analyze(args) -> int:
     spec = _load(args.spec)
-    result = analyze_spec(spec, jobs=max(1, args.jobs))
+    result = analyze_spec(spec)
     findings = list(result.findings)
 
-    queries = _load_queries(args)
-    if queries:
-        try:
+    try:
+        queries = checks.parse_queries(_query_data(args.queries, spec))
+        if queries:
             findings.extend(
                 checks.run_queries(spec, result.global_concurrency,
                                    result.global_reachable, result.variables,
                                    queries, naive=args.naive)
             )
-        except ValueError as exc:
-            print(f"grafcet-lint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    except ValueError as exc:
+        print(f"grafcet-lint: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
-    report = build_report(args.spec, result, findings,
+    report = build_report(result, findings,
                           dump_invariants=args.dump_invariants,
                           timings=not args.no_timings)
     if args.format == "json":
@@ -105,38 +101,25 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _load_queries(args):
-    data = None
-    if args.queries:
-        try:
-            data = json.loads(Path(args.queries).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"grafcet-lint: cannot read queries {args.queries}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-    else:
-        try:
-            doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-            data = {"queries": doc.get("queries", [])}
-        except (OSError, json.JSONDecodeError):
-            data = None
-    if not data:
-        return []
+def _query_data(sidecar, spec):
+    """Raw queries from the sidecar file if one is given, else those embedded in the spec."""
+    if sidecar is None:
+        return spec.queries
     try:
-        return checks.parse_queries(data.get("queries", []))
-    except ValueError as exc:
-        print(f"grafcet-lint: {exc}", file=sys.stderr)
+        doc = json.loads(Path(sidecar).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"grafcet-lint: cannot read queries {sidecar}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    return doc.get("queries", []) if isinstance(doc, dict) else None
 
 
-def build_report(path: str, result: AnalysisResult, findings,
+def build_report(result: AnalysisResult, findings,
                  dump_invariants: bool = False, timings: bool = True) -> dict:
     spec = result.spec
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool_version": __version__,
-        "spec": {"name": spec.name, "sha256": digest},
+        "spec": {"name": spec.name, "sha256": spec.sha256},
         "partials": {},
         "variables": {name: v.to_dict() for name, v in result.variables.items()},
         "findings": [f.to_dict() for f in findings],

@@ -151,10 +151,16 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     yield "eof", "", len(text)
 
 
+# Deepest nesting of parentheses and negations; the parser and the tree walkers
+# recurse a few frames per level, far below the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> tuple[str, str, int]:
@@ -196,9 +202,12 @@ class _Parser:
         return NaryOp("&", tuple(items))
 
     def parse_unary(self) -> Condition:
-        if self.accept("!"):
-            return Not(self.parse_unary())
-        return self.parse_atom()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise CondParseError(f"nesting deeper than {MAX_NESTING} levels", self.cur[2])
+        node = Not(self.parse_unary()) if self.accept("!") else self.parse_atom()
+        self.depth -= 1
+        return node
 
     def parse_atom(self) -> Condition:
         kind, val, pos = self.cur

@@ -116,14 +116,12 @@ def initial_situations(spec: GrafcetSpec, graph: HierarchyGraph,
     return out
 
 
-def dead_partial_findings(spec: GrafcetSpec, graph: HierarchyGraph) -> list[Finding]:
-    """A partial Grafcet with no initial situation at all is dead code."""
-    out = []
-    for c in spec.partials:
-        if not initial_situations(spec, graph, c.id):
-            out.append(
-                finding("dead-partial", "warning",
-                        f"partial Grafcet {c.id!r} has no initial situation and can "
-                        "never become active", partial=c.id)
-            )
-    return out
+def dead_partial_findings(situations: dict[str, list[InitialSituation]]) -> list[Finding]:
+    """Partials with no initial situation in ``situations`` (id -> list) are dead code."""
+    return [
+        finding("dead-partial", "warning",
+                f"partial Grafcet {pid!r} has no initial situation and can "
+                "never become active", partial=pid)
+        for pid, sits in situations.items()
+        if not sits
+    ]

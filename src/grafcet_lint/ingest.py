@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -51,13 +52,21 @@ class SpecSemanticError(SpecError):
 
 
 def load_spec(path: str | Path) -> GrafcetSpec:
+    """Read a spec file once; the result carries the sha256 of its bytes."""
     path = Path(path)
-    return parse_spec(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_spec(path.read_bytes(), source=str(path))
 
 
 def parse_spec(doc: str | bytes | dict, source: str = "<spec>") -> GrafcetSpec:
-    """Parse a spec document; validates the model and raises on error findings."""
-    if isinstance(doc, (str, bytes)):
+    """Parse a spec document (bytes: UTF-8, digest kept); validates, raises on errors."""
+    sha256 = None
+    if isinstance(doc, bytes):
+        sha256 = hashlib.sha256(doc).hexdigest()
+        try:
+            doc = doc.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SpecSyntaxError(f"{source}: not valid UTF-8: {exc}") from exc
+    if isinstance(doc, str):
         try:
             data = json.loads(doc)
         except json.JSONDecodeError as exc:
@@ -66,7 +75,7 @@ def parse_spec(doc: str | bytes | dict, source: str = "<spec>") -> GrafcetSpec:
             ) from exc
     else:
         data = doc
-    spec = _build_spec(data, source)
+    spec = _build_spec(data, source, sha256)
     errors = [f for f in validate(spec) if f.severity == "error"]
     if errors:
         raise SpecSemanticError(errors)
@@ -105,7 +114,7 @@ def _str_list(value, where):
     return value
 
 
-def _build_spec(data, source) -> GrafcetSpec:
+def _build_spec(data, source, sha256) -> GrafcetSpec:
     _no_unknown(data, _TOP_FIELDS, source)
     name = _require(data, "name", str, source)
     variables = data.get("variables", [])
@@ -127,6 +136,10 @@ def _build_spec(data, source) -> GrafcetSpec:
             raise SpecSchemaError(f"{where}: init must be an integer")
         decls[kind].append(VariableDecl(vname, kind, vtype, init))
 
+    queries = data.get("queries", [])
+    if not isinstance(queries, list) or not all(isinstance(q, dict) for q in queries):
+        raise SpecSchemaError(f"{source}: 'queries' must be a list of objects")
+
     partials_data = _require(data, "partials", list, source)
     if not partials_data:
         raise SpecSchemaError(f"{source}: 'partials' must be non-empty")
@@ -139,6 +152,8 @@ def _build_spec(data, source) -> GrafcetSpec:
         internals=tuple(decls["internal"]),
         outputs=tuple(decls["output"]),
         partials=partials,
+        queries=tuple(queries),
+        sha256=sha256,
     )
 
 

@@ -8,7 +8,7 @@ are namespaced by partial Grafcet; a global step is written "partial.step".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -143,6 +143,9 @@ class GrafcetSpec:
     internals: tuple[VariableDecl, ...]
     outputs: tuple[VariableDecl, ...]
     partials: tuple[PartialGrafcet, ...]
+    # Carried from the file, not part of the model: equality ignores them.
+    queries: tuple[dict, ...] = field(default=(), compare=False)  # raw embedded queries
+    sha256: str | None = field(default=None, compare=False)  # of the source bytes
 
     @cached_property
     def variables(self) -> dict[str, VariableDecl]:

@@ -17,6 +17,7 @@ interpretation of GRAFCET's evolution rules.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
@@ -160,7 +161,7 @@ def _explore(spec, partials, initial_override, mode, max_states,
 
     initial_states = _run_triggers(world, active, init_vars, events, value_cap, facts,
                                    None)
-    frontier = []
+    frontier = deque()
     seen = set()
     for active2, vars2 in initial_states:
         state = _freeze(active2, vars2, track, None)
@@ -170,7 +171,7 @@ def _explore(spec, partials, initial_override, mode, max_states,
             _record(world, active2, vars2, facts, dict(track))
 
     while frontier:
-        active, varvals, trackmap, prev = frontier.pop(0)
+        active, varvals, trackmap, prev = frontier.popleft()
         successors = _successors(world, active, varvals, trackmap, prev,
                                  value_cap, activation_cap, facts)
         for active2, vars2, track2, prev2 in successors:

@@ -4,14 +4,13 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import checks, hierarchy, invariants, reachconc, varapprox
 from .findings import Finding, sort_findings
 from .hierarchy import HierarchyGraph, InitialSituation
 from .invariants import InvariantSet
-from .model import GrafcetSpec, validate
+from .model import GrafcetSpec
 from .reachconc import ReachConcResult
 from .varapprox import ExecutionBound, VarApprox
 
@@ -35,8 +34,8 @@ class AnalysisResult:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def analyze_spec(spec: GrafcetSpec, jobs: int = 1,
-                 invariant_cap: int = invariants.DEFAULT_CAP) -> AnalysisResult:
+def analyze_spec(spec: GrafcetSpec) -> AnalysisResult:
+    """Analyze a spec built by ``ingest.parse_spec``, which has validated it."""
     findings: list[Finding] = []
     timings: dict[str, float] = {}
 
@@ -50,31 +49,19 @@ def analyze_spec(spec: GrafcetSpec, jobs: int = 1,
 
         return _Timer()
 
-    with timed("validate"):
-        findings.extend(validate(spec))
-
     with timed("hierarchy"):
         graph, hier_findings = hierarchy.build_hierarchy(spec)
         findings.extend(hier_findings)
         situations = {
             c.id: hierarchy.initial_situations(spec, graph, c.id) for c in spec.partials
         }
-        findings.extend(hierarchy.dead_partial_findings(spec, graph))
+        findings.extend(hierarchy.dead_partial_findings(situations))
 
     with timed("reachconc"):
-        tasks = [
-            (c, situation)
+        results: dict[str, list[ReachConcResult]] = {
+            c.id: [reachconc.analyze_partial(c, s) for s in situations[c.id]]
             for c in spec.partials
-            for situation in situations[c.id]
-        ]
-        if jobs > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                computed = list(pool.map(lambda t: reachconc.analyze_partial(*t), tasks))
-        else:
-            computed = [reachconc.analyze_partial(c, s) for c, s in tasks]
-        results: dict[str, list[ReachConcResult]] = {c.id: [] for c in spec.partials}
-        for r in computed:
-            results[r.partial_id].append(r)
+        }
         reachable_by_partial = {}
         conc_by_partial = {}
         for c in spec.partials:
@@ -93,7 +80,7 @@ def analyze_spec(spec: GrafcetSpec, jobs: int = 1,
     with timed("invariants"):
         inv_by_partial = {}
         for c in spec.partials:
-            inv, inv_findings = invariants.compute_invariants(c, cap=invariant_cap)
+            inv, inv_findings = invariants.compute_invariants(c)
             inv_by_partial[c.id] = inv
             findings.extend(inv_findings)
 

@@ -1,8 +1,15 @@
 """Command-line interface: flags, report schema, exit codes, determinism."""
 
+import builtins
+import hashlib
+import io
 import json
+import os
 
+import pytest
+from conftest import corpus_path
 
+from grafcet_lint import ingest, model
 from grafcet_lint.cli import main
 
 
@@ -70,7 +77,7 @@ def test_json_report_schema(corpus, capsys):
 
 def test_json_report_is_deterministic(corpus, capsys):
     args = ("analyze", str(corpus("g_rit.grafcet.json")), "--format", "json",
-            "--no-timings", "--jobs", "1")
+            "--no-timings")
     _, first, _ = _run(capsys, *args)
     _, second, _ = _run(capsys, *args)
     assert first == second
@@ -106,6 +113,13 @@ def test_queries_embedded_in_spec(tmp_path, corpus, capsys):
     code, out, _ = _run(capsys, "analyze", str(path), "--fail-on", "error")
     assert code == 1
     assert "query-violation" in out
+    # A sidecar replaces the embedded queries.
+    sidecar = tmp_path / "none.queries.json"
+    sidecar.write_text(json.dumps({"queries": []}))
+    code, out, _ = _run(capsys, "analyze", str(path), "--queries", str(sidecar),
+                        "--fail-on", "error")
+    assert code == 0
+    assert "query-violation" not in out
 
 
 def test_bad_queries_file(tmp_path, corpus, capsys):
@@ -117,13 +131,84 @@ def test_bad_queries_file(tmp_path, corpus, capsys):
     assert "unknown kind" in err
 
 
-def test_parallel_jobs_agree_with_serial(corpus, capsys):
-    spec = str(corpus("g_rit.grafcet.json"))
-    _, serial, _ = _run(capsys, "analyze", spec, "--format", "json",
-                        "--no-timings", "--jobs", "1")
-    _, parallel, _ = _run(capsys, "analyze", spec, "--format", "json",
-                          "--no-timings", "--jobs", "4")
-    assert serial == parallel
+def _fig5_with(**fields):
+    doc = json.loads(corpus_path("fig5.grafcet.json").read_text())
+    return json.dumps({**doc, **fields}).encode()
+
+
+def _fig5_with_cond(cond):
+    return _fig5_with(partials=[{
+        "id": "c", "steps": [{"id": "1", "initial": True}],
+        "transitions": [{"id": "t", "from": ["1"], "to": ["1"], "cond": cond}]}])
+
+
+@pytest.mark.parametrize("spec, sidecar, message", [
+    pytest.param(_fig5_with(queries=5), None, "list of objects", id="embedded-number"),
+    pytest.param(_fig5_with(queries=[5]), None, "list of objects",
+                 id="embedded-list-of-number"),
+    pytest.param(_fig5_with(queries="x"), None, "list of objects", id="embedded-string"),
+    pytest.param(b"\xff" + _fig5_with(), None, "not valid UTF-8", id="spec-not-utf8"),
+    pytest.param(_fig5_with_cond("(" * 3000 + "k > 0" + ")" * 3000), None,
+                 "nesting deeper", id="deep-parentheses"),
+    pytest.param(_fig5_with_cond("!" * 3000 + "k > 0"), None, "nesting deeper",
+                 id="deep-negation"),
+    pytest.param(None, b'[{"kind": "never-concurrent"}]', "list of objects",
+                 id="sidecar-list"),
+    pytest.param(None, b'{"queries": 5}', "list of objects", id="sidecar-queries-number"),
+    pytest.param(None, b'{"queries": [{"kind": "never-concurrent", "steps": [1, 2]}]}',
+                 "two global step ids", id="sidecar-step-not-string"),
+    pytest.param(None, b'{"queries": [{"kind": "never-coactive", "a": {"var": []},'
+                       b' "b": {"var": "k"}}]}', "missing term", id="sidecar-var-not-string"),
+    pytest.param(None, b'{"queries": [\xff]}', "cannot read queries",
+                 id="sidecar-not-utf8"),
+])
+def test_malformed_input_is_usage_error(tmp_path, capsys, spec, sidecar, message):
+    path = tmp_path / "spec.grafcet.json"
+    path.write_bytes(spec or _fig5_with())
+    argv = ["analyze", str(path)]
+    if sidecar is not None:
+        (tmp_path / "q.json").write_bytes(sidecar)
+        argv += ["--queries", str(tmp_path / "q.json")]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_analyze_reads_the_spec_once_and_validates_once(corpus, monkeypatch, capsys):
+    path = str(corpus("g_rit.grafcet.json"))
+    opened = []
+    real_open, real_validate = io.open, model.validate
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    validated = []
+
+    def counting_validate(spec):
+        validated.append(spec.name)
+        return real_validate(spec)
+
+    for owner in (builtins, io):
+        monkeypatch.setattr(owner, "open", counting_open)
+    for owner in (model, ingest):
+        monkeypatch.setattr(owner, "validate", counting_validate)
+    code, out, _ = _run(capsys, "analyze", path, "--format", "json")
+    assert code == 1 and json.loads(out)["partials"]
+    assert opened.count(path) == 1
+    assert validated == ["g_rit"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_report_digest_is_of_the_file_bytes(tmp_path, corpus, capsys, newline):
+    doc = json.dumps(json.loads(corpus("fig5.grafcet.json").read_text()), indent=2)
+    path = tmp_path / "spec.grafcet.json"
+    path.write_bytes(doc.replace("\n", newline).encode())
+    code, out, _ = _run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["spec"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_oracle_subcommand(corpus, capsys):

@@ -62,8 +62,11 @@ class TestParsing:
         cond = parse_condition("2*k - n + 1 = 0")
         assert cond.left == Arith((Term(2, "k"), Term(-1, "n"), Term(1)))
 
-    @pytest.mark.parametrize("text", ["", "a &", "re(", "re(3)", "k >", "((a)",
-                                      "a b", "1 +", "@", "re(true)"])
+    @pytest.mark.parametrize("text", [
+        "", "a &", "re(", "re(3)", "k >", "((a)", "a b", "1 +", "@", "re(true)",
+        pytest.param("(" * 3000 + "a" + ")" * 3000, id="deep-parentheses"),
+        pytest.param("!" * 3000 + "a", id="deep-negation"),
+    ])
     def test_syntax_errors(self, text):
         with pytest.raises(CondParseError):
             parse_condition(text)

@@ -95,5 +95,6 @@ def test_freezing_forcing_adds_no_situation_and_dead_partials():
     })
     graph, _ = build_hierarchy(spec)
     assert initial_situations(spec, graph, "B") == []
-    dead = dead_partial_findings(spec, graph)
+    dead = dead_partial_findings(
+        {c.id: initial_situations(spec, graph, c.id) for c in spec.partials})
     assert [(f.kind, f.partial) for f in dead] == [("dead-partial", "B")]
