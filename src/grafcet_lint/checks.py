@@ -201,7 +201,10 @@ def parse_queries(data: list[dict]) -> list[SafetyQuery]:
                 term = q.get(side)
                 if not isinstance(term, dict) or not isinstance(term.get("var"), str):
                     raise ValueError(f"query {name!r}: missing term {side!r}")
-                terms.append((term["var"], bool(term.get("value", True))))
+                value = term.get("value", True)
+                if not isinstance(value, bool):
+                    raise ValueError(f"query {name!r}: term {side!r} value must be true or false")
+                terms.append((term["var"], value))
             out.append(SafetyQuery(name, kind, terms=tuple(terms)))
         else:
             raise ValueError(f"query {name!r}: unknown kind {kind!r}")

@@ -580,8 +580,4 @@ def _concrete_arith(expr: Arith, lookup) -> int:
     return total
 
 
-def hull(*intervals: Interval) -> Interval:
-    return min(i[0] for i in intervals), max(i[1] for i in intervals)
-
-
 TOP_INT: Interval = (-math.inf, math.inf)

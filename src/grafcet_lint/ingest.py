@@ -73,6 +73,8 @@ def parse_spec(doc: str | bytes | dict, source: str = "<spec>") -> GrafcetSpec:
             raise SpecSyntaxError(
                 f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise SpecSyntaxError(f"{source}: JSON nested too deeply") from exc
     else:
         data = doc
     spec = _build_spec(data, source, sha256)

@@ -56,10 +56,6 @@ class Transition:
     def is_source(self) -> bool:
         return not self.upstream
 
-    @property
-    def is_sink(self) -> bool:
-        return not self.downstream
-
 
 @dataclass(frozen=True)
 class ContinuousAction:
@@ -98,10 +94,6 @@ class PartialGrafcet:
     enclosings: tuple[tuple[str, str], ...]  # (step, target partial)
     transitions: tuple[Transition, ...]
     actions: tuple[Action, ...]
-
-    @property
-    def is_enclosed(self) -> bool:
-        return bool(self.marked)
 
     @cached_property
     def step_set(self) -> frozenset[str]:

@@ -8,7 +8,11 @@ independent of variable values.
 
 Source transitions get a second pass: their downstream steps can be
 activated concurrently to any already-reachable step, so the analysis is
-re-run with the concurrency sets pre-seeded with the first pass's S^R.
+re-run with the first pass's S^R as ``source_seed``, which ``reach_analysis``
+adds to those steps' concurrency sets before its worklist starts.
+
+Every fact is added one set at a time by ``grow``, which returns the steps
+whose set grew; only their downstream transitions are re-enqueued.
 """
 
 from __future__ import annotations
@@ -51,80 +55,79 @@ def init_concurrency(c: PartialGrafcet, initial: frozenset[str]) -> dict[str, se
     return {s: set(initial - {s}) if s in initial else set() for s in c.steps}
 
 
+def grow(conc: dict[str, set[str]], s: str, others: set[str] | frozenset[str]) -> set[str]:
+    """Make ``s`` concurrent to every step of ``others`` but itself (both ways).
+
+    Returns the steps whose set grew: ``s`` and its new partners, or an empty
+    set. This is the only writer of the concurrency sets after initialization.
+    """
+    new = set(others - conc[s])
+    new.discard(s)
+    if new:
+        conc[s] |= new
+        for s2 in new:
+            conc[s2].add(s)
+        new.add(s)
+    return new
+
+
 def reach_analysis(
     c: PartialGrafcet,
     initial: frozenset[str],
-    conc: dict[str, set[str]] | None = None,
     source_seed: frozenset[str] = frozenset(),
     rng: random.Random | None = None,
 ) -> tuple[set[str], dict[str, set[str]]]:
     """One worklist pass; returns (S^R, concurrency sets).
 
-    ``conc`` allows pre-seeded concurrency sets (source-transition pass);
-    ``source_seed`` is the set used in place of the intersection term for
-    transitions with empty upstream. ``rng``, when given, randomizes the
+    ``source_seed`` is the set the downstream steps of source transitions
+    start out concurrent to, and the set used in place of the intersection
+    term when such a transition fires. ``rng``, when given, randomizes the
     worklist order; the fixpoint is confluent so the result is unchanged.
     """
-    if conc is None:
-        conc = init_concurrency(c, initial)
+    conc = init_concurrency(c, initial)
+    for t in c.source_transitions:
+        for s in t.downstream:
+            grow(conc, s, source_seed)
     reachable: set[str] = set(initial)
 
-    pending: set[str] = set()
-    queue: deque = deque()
-
-    def enqueue(t) -> None:
-        if t.id not in pending:
-            pending.add(t.id)
-            queue.append(t)
-            enqueues[t.id] = enqueues.get(t.id, 0) + 1
-
-    enqueues: dict[str, int] = {}
-    # Initially enabled transitions: downstream of the initial steps, plus
-    # source transitions, which are enabled in any situation.
-    for s in sorted(initial):
-        for t in c.downstream_of[s]:
-            enqueue(t)
-    for t in c.source_transitions:
-        enqueue(t)
-
+    # Initially enabled transitions: source transitions, which are enabled in
+    # any situation, plus those downstream of the initial steps.
+    queue = deque(c.source_transitions)
+    pending = {t.id for t in queue}
+    enqueues = len(queue)
     nsteps = len(c.steps)
-    enqueue_bound = nsteps * (nsteps + 1) + 2
+    enqueue_bound = len(c.transitions) * (nsteps * (nsteps + 1) + 2)
 
-    def concurr_analysis(t, s: str) -> None:
+    def enqueue(steps) -> None:
+        """Enqueue the transitions downstream of ``steps``."""
+        nonlocal enqueues
+        for s in steps:
+            for t in c.downstream_of[s]:
+                if t.id not in pending:
+                    pending.add(t.id)
+                    queue.append(t)
+                    enqueues += 1
+        assert enqueues <= enqueue_bound, "worklist failed to stabilize within bound"
+
+    enqueue(initial)
+    while queue:
+        if rng is not None:
+            queue.rotate(-rng.randrange(len(queue)))
+        t = queue.popleft()
+        pending.discard(t.id)
+        if not t.upstream <= reachable:
+            continue
         # Downstream steps of a parallel activation become mutually concurrent,
         # then inherit the intersection of the upstream steps' concurrency.
-        target = conc[s]
-        target |= t.downstream - {s}
         if t.upstream:
-            shared = set.intersection(*(conc[s2] for s2 in t.upstream))
-            target |= shared
+            shared = set.intersection(*(conc[s] for s in t.upstream))
         else:
-            target |= source_seed
-        target.discard(s)
-        for s2 in target:
-            conc[s2].add(s)
-
-    while queue:
-        if rng is None:
-            t = queue.popleft()
-        else:
-            queue.rotate(-rng.randrange(len(queue)))
-            t = queue.popleft()
-        pending.discard(t.id)
-        sizes = {s: len(conc[s]) for s in c.steps}
-        if all(s2 in reachable for s2 in t.upstream):
-            for s in sorted(t.downstream):
-                if s not in reachable:
-                    reachable.add(s)
-                    for t2 in c.downstream_of[s]:
-                        enqueue(t2)
-                concurr_analysis(t, s)
-        for s2 in c.steps:
-            if len(conc[s2]) != sizes[s2]:
-                for t2 in c.downstream_of[s2]:
-                    enqueue(t2)
-        for count in enqueues.values():
-            assert count <= enqueue_bound, "worklist failed to stabilize within bound"
+            shared = source_seed
+        others = t.downstream | shared
+        enqueue(t.downstream - reachable)
+        reachable |= t.downstream
+        for s in t.downstream:
+            enqueue(grow(conc, s, others))
 
     return reachable, conc
 
@@ -137,17 +140,8 @@ def analyze_partial(
     """Full analysis for one initial situation, including the source pass."""
     reachable, conc = reach_analysis(c, situation.steps, rng=rng)
     if c.source_transitions:
-        first_reach = frozenset(reachable)
-        seeded = init_concurrency(c, situation.steps)
-        source_downstream = {
-            s for t in c.source_transitions for s in t.downstream
-        }
-        for s in source_downstream:
-            seeded[s] |= first_reach - {s}
-            for s2 in first_reach - {s}:
-                seeded[s2].add(s)
         reachable, conc = reach_analysis(
-            c, situation.steps, conc=seeded, source_seed=first_reach, rng=rng
+            c, situation.steps, source_seed=frozenset(reachable), rng=rng
         )
     result = ReachConcResult(
         partial_id=c.id,
@@ -187,30 +181,32 @@ def lift_concurrency(
           its activating step and with everything concurrent to it.
     Partials with their own initial steps are all active from the start, so
     their reachable steps are additionally pairwise concurrent.
+    No step is paired with itself, and only steps with a partner are keys.
     """
+    gid = {c.id: {s: spec.global_step(c.id, s) for s in c.steps} for c in spec.partials}
+    reach = {pid: {gid[pid][s] for s in steps} for pid, steps in reachable_by_partial.items()}
     relation: dict[str, set[str]] = {}
 
-    def add_pair(a: str, b: str) -> None:
-        if a == b:
-            return
-        relation.setdefault(a, set()).add(b)
-        relation.setdefault(b, set()).add(a)
-
-    def gid(pid: str, step: str) -> str:
-        return spec.global_step(pid, step)
+    def connect(group_a: set[str], group_b: set[str]) -> None:
+        # Pair every step of one group with every other step of the other.
+        for xs, ys in ((group_a, group_b), (group_b, group_a)):
+            for x in xs:
+                if len(ys) > (x in ys):
+                    partners = relation.setdefault(x, set())
+                    partners |= ys
+                    partners.discard(x)
 
     for pid, conc in conc_by_partial.items():
+        ids = gid[pid]
         for s, others in conc.items():
-            for s2 in others:
-                add_pair(gid(pid, s), gid(pid, s2))
+            if others:
+                relation.setdefault(ids[s], set()).update(ids[s2] for s2 in others)
 
     # Initially active root partials all run concurrently from the start.
     roots = [c.id for c in spec.partials if c.initial]
     for i, p1 in enumerate(roots):
         for p2 in roots[i + 1:]:
-            for s1 in reachable_by_partial[p1]:
-                for s2 in reachable_by_partial[p2]:
-                    add_pair(gid(p1, s1), gid(p2, s2))
+            connect(reach[p1], reach[p2])
 
     order = graph.topological_order() if graph.is_partial_order else graph.nodes
     edges_by_source: dict[str, list] = {}
@@ -221,23 +217,14 @@ def lift_concurrency(
         edges = edges_by_source.get(pid, [])
         # Rule (b): sibling partials activated concurrently.
         for i, e1 in enumerate(edges):
-            g1 = gid(pid, e1.step)
+            g1 = gid[pid][e1.step]
             for e2 in edges[i + 1:]:
-                if e1.target == e2.target:
-                    continue
-                g2 = gid(pid, e2.step)
-                if e1.step == e2.step or g2 in relation.get(g1, ()):
-                    for s1 in reachable_by_partial[e1.target]:
-                        for s2 in reachable_by_partial[e2.target]:
-                            add_pair(gid(e1.target, s1), gid(e2.target, s2))
+                if e1.target != e2.target and (
+                        e1.step == e2.step or gid[pid][e2.step] in relation.get(g1, ())):
+                    connect(reach[e1.target], reach[e2.target])
         # Rule (c): activated steps are concurrent with the activating step
-        # and with everything concurrent to it.
+        # and with everything concurrent to it (read before adding the edge).
         for e in edges:
-            anchor = gid(pid, e.step)
-            neighbors = set(relation.get(anchor, ()))
-            for s in reachable_by_partial[e.target]:
-                g = gid(e.target, s)
-                add_pair(g, anchor)
-                for n in neighbors:
-                    add_pair(g, n)
+            anchor = gid[pid][e.step]
+            connect(reach[e.target], relation.get(anchor, set()) | {anchor})
     return relation

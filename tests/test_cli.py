@@ -142,6 +142,12 @@ def _fig5_with_cond(cond):
         "transitions": [{"id": "t", "from": ["1"], "to": ["1"], "cond": cond}]}])
 
 
+def _coactive_sidecar(value):
+    return json.dumps({"queries": [{"kind": "never-coactive",
+                                    "a": {"var": "k", "value": value},
+                                    "b": {"var": "k"}}]}).encode()
+
+
 @pytest.mark.parametrize("spec, sidecar, message", [
     pytest.param(_fig5_with(queries=5), None, "list of objects", id="embedded-number"),
     pytest.param(_fig5_with(queries=[5]), None, "list of objects",
@@ -161,6 +167,14 @@ def _fig5_with_cond(cond):
                        b' "b": {"var": "k"}}]}', "missing term", id="sidecar-var-not-string"),
     pytest.param(None, b'{"queries": [\xff]}', "cannot read queries",
                  id="sidecar-not-utf8"),
+    pytest.param(b"[" * 100_000, None, "nested too deeply", id="spec-deep-json"),
+    pytest.param(None, b"[" * 100_000, "cannot read queries", id="sidecar-deep-json"),
+    pytest.param(None, _coactive_sidecar("false"), "must be true or false",
+                 id="sidecar-value-string"),
+    pytest.param(None, _coactive_sidecar(0), "must be true or false",
+                 id="sidecar-value-number"),
+    pytest.param(None, _coactive_sidecar(None), "must be true or false",
+                 id="sidecar-value-null"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, spec, sidecar, message):
     path = tmp_path / "spec.grafcet.json"

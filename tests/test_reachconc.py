@@ -165,3 +165,31 @@ def test_lift_enclosed_concurrent_with_anchor_and_neighbors(load_fixture):
     assert "G70.a" in gc["G60.a"]
     # Step 10 never overlaps the station phase.
     assert "G_RIT.10" not in gc.get("G10.b", set())
+
+
+def _assert_relation_shape(gc):
+    for a, partners in gc.items():
+        assert partners, f"{a} is a key without partners"
+        assert a not in partners, f"{a} concurrent to itself"
+        for b in partners:
+            assert a in gc.get(b, ()), f"asymmetric pair ({a}, {b})"
+
+
+def _cycle(pid, *steps):
+    return {"id": pid,
+            "steps": [{"id": steps[0], "initial": True}, *({"id": s} for s in steps[1:])],
+            "transitions": [{"id": f"t{i}", "from": [a], "to": [b]}
+                            for i, (a, b) in enumerate(zip(steps, steps[1:] + steps[:1]))]}
+
+
+def test_global_relation_is_symmetric_irreflexive_without_empty_entries(load_fixture):
+    _assert_relation_shape(analyze_spec(load_fixture("g_rit.grafcet.json")).global_concurrency)
+    # A root forcing another root: the forced steps already neighbour the
+    # anchor when rule (c) connects them to it and its neighbours.
+    forcer = _cycle("P", "1", "2")
+    forcer["actions"] = [{"kind": "forcing", "step": "1", "target": "Q", "situation": "init"}]
+    forced = parse_spec({"name": "forced-root", "partials": [forcer, _cycle("Q", "q1", "q2")]})
+    _assert_relation_shape(analyze_spec(forced).global_concurrency)
+    rng = random.Random(5)
+    for _ in range(200):
+        _assert_relation_shape(analyze_spec(random_spec(rng)).global_concurrency)
