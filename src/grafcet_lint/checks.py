@@ -31,17 +31,16 @@ def detect_races(
     """Stored writes of one variable from (potentially) concurrent steps.
 
     Two distinct stored actions on the same step also race: their execution
-    order within one activation is non-deterministic.
+    order within one activation is non-deterministic. A continuous write
+    races with nothing: validation keeps its Boolean output away from every
+    stored action, as target and as operand of an integer value.
     """
     out: list[Finding] = []
     stored: dict[str, list] = {}
-    cont: dict[str, list] = {}
     for c in spec.partials:
         for i, a in enumerate(c.actions):
             if isinstance(a, StoredAction):
                 stored.setdefault(a.var, []).append((c.id, i, a))
-            elif isinstance(a, ContinuousAction):
-                cont.setdefault(a.var, []).append((c.id, i, a))
 
     for var in sorted(stored):
         actions = stored[var]
@@ -64,28 +63,6 @@ def detect_races(
                         )
                     )
 
-    # A continuous writer whose output is read by a concurrent stored
-    # action's value expression is order-sensitive too; informational only.
-    for var in sorted(cont):
-        for p1, i1, a1 in cont[var]:
-            g1 = spec.global_step(p1, a1.step)
-            for c in spec.partials:
-                for i2, a2 in enumerate(c.actions):
-                    if not isinstance(a2, StoredAction) or isinstance(a2.value, bool):
-                        continue
-                    if not any(t.var == var for t in a2.value.terms):
-                        continue
-                    g2 = spec.global_step(c.id, a2.step)
-                    if g2 in global_conc.get(g1, ()):
-                        out.append(
-                            finding(
-                                "race", "info",
-                                f"continuous write of {var!r} at {g1} is read by a "
-                                f"concurrent stored action at {g2}",
-                                partial=p1, element=f"actions[{i1}]",
-                                variable=var, steps=(g1, g2),
-                            )
-                        )
     return sort_findings(out)
 
 
@@ -252,8 +229,12 @@ def run_queries(
 def _coactive(spec, global_conc, reachable, var_approx, q: SafetyQuery, naive: bool):
     (var_a, lit_a), (var_b, lit_b) = q.terms
     for var in (var_a, var_b):
-        if var not in spec.variables:
+        decl = spec.variables.get(var)
+        if decl is None:
             raise ValueError(f"query {q.name!r}: unknown variable {var!r}")
+        if decl.type != "bool":
+            raise ValueError(f"query {q.name!r}: never-coactive requires Boolean variables, "
+                             f"got {var!r}")
     if naive:
         ok_a = lit_a in _value_set(var_approx, var_a)
         ok_b = lit_b in _value_set(var_approx, var_b)
@@ -274,7 +255,7 @@ def _coactive(spec, global_conc, reachable, var_approx, q: SafetyQuery, naive: b
 
 def _value_set(var_approx, var):
     approx = var_approx.get(var)
-    if approx is None or approx.type != "bool":
+    if approx is None:  # an input: it has no value set
         raise ValueError(f"never-coactive requires Boolean variables, got {var!r}")
     return approx.values
 
@@ -289,7 +270,6 @@ def _steps_making(spec, reachable, var, literal) -> set[str]:
                 continue
             if isinstance(a, ContinuousAction) and a.var == var and literal:
                 steps.add(gid)
-            elif isinstance(a, StoredAction) and a.var == var and \
-                    isinstance(a.value, bool) and a.value == literal:
+            elif isinstance(a, StoredAction) and a.var == var and a.value == literal:
                 steps.add(gid)
     return steps

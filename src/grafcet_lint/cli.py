@@ -107,7 +107,7 @@ def _query_data(sidecar, spec):
         return spec.queries
     try:
         doc = json.loads(Path(sidecar).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         print(f"grafcet-lint: cannot read queries {sidecar}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     return doc.get("queries", []) if isinstance(doc, dict) else None

@@ -155,6 +155,9 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
 # recurse a few frames per level, far below the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Integer literals and init values must fit IEC 61131-3's LINT (signed 64-bit).
+INT_MIN, INT_MAX = -2**63, 2**63 - 1
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -273,6 +276,10 @@ class _Parser:
         kind, val, pos = self.cur
         if kind == "int":
             self.advance()
+            # More than 19 significant digits is out of range; int() refuses
+            # strings of over 4,300 digits, so test the length first.
+            if len(val.lstrip("0")) > 19 or not INT_MIN <= sign * int(val) <= INT_MAX:
+                raise CondParseError("integer literal outside the signed 64-bit range", pos)
             coeff = sign * int(val)
             if self.accept("*"):
                 kind, val, pos = self.cur
@@ -320,50 +327,44 @@ def parse_arith(text: str) -> Arith:
 
 
 def typecheck(
-    cond: Condition,
+    expr: Union[Condition, Arith],
     types: Mapping[str, str],
     steps: "set[tuple[str, str]] | None" = None,
 ) -> None:
-    """Verify Boolean/integer discipline; raises CondTypeError on failure."""
+    """Verify Boolean/integer discipline and that every name is declared in
+    ``types`` (and each step reference in ``steps``, if given); raises
+    CondTypeError on the first violation."""
 
     def var_type(name: str) -> str:
         if name not in types:
-            raise CondTypeError(f"unknown variable {name!r}")
+            raise CondTypeError(f"undeclared variable {name!r}")
         return types[name]
 
     def check_bool(node: Condition) -> None:
-        if isinstance(node, BoolLit):
-            return
         if isinstance(node, VarRef):
             if var_type(node.name) != "bool":
                 raise CondTypeError(f"integer variable {node.name!r} used as Boolean")
-            return
-        if isinstance(node, StepRef):
+        elif isinstance(node, StepRef):
             if steps is not None and (node.partial, node.step) not in steps:
-                raise CondTypeError(f"unknown step reference {node.text!r}")
-            return
-        if isinstance(node, Not):
+                raise CondTypeError(f"unknown step variable {node.text!r}")
+        elif isinstance(node, (Not, Edge)):
             check_bool(node.operand)
-            return
-        if isinstance(node, NaryOp):
+        elif isinstance(node, NaryOp):
             for item in node.items:
                 check_bool(item)
-            return
-        if isinstance(node, Edge):
-            check_bool(node.operand)
-            return
-        if isinstance(node, Cmp):
+        elif isinstance(node, Cmp):
             check_arith(node.left)
             check_arith(node.right)
-            return
-        raise CondTypeError(f"not a Boolean expression: {node!r}")
 
     def check_arith(expr: Arith) -> None:
         for term in expr.terms:
             if term.var is not None and var_type(term.var) != "int":
                 raise CondTypeError(f"Boolean variable {term.var!r} used in arithmetic")
 
-    check_bool(cond)
+    if isinstance(expr, Arith):
+        check_arith(expr)
+    else:
+        check_bool(expr)
 
 
 def variables_read(cond: Condition) -> tuple[set[str], set[StepRef]]:

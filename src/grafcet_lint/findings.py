@@ -7,19 +7,6 @@ from dataclasses import dataclass, field
 
 SEVERITIES = ("error", "warning", "info")
 
-KINDS = (
-    "model-error",
-    "race",
-    "unsat-condition",
-    "always-true-condition",
-    "unreachable-step",
-    "unbounded-activation",
-    "hierarchy-cycle",
-    "dead-partial",
-    "analysis-incomplete",
-    "query-violation",
-)
-
 
 @dataclass(frozen=True)
 class Finding:

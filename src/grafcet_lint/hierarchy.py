@@ -110,7 +110,6 @@ def initial_situations(spec: GrafcetSpec, graph: HierarchyGraph,
             out.append(InitialSituation(partial_id, "forcing", edge.step, edge.source,
                                         c.initial))
         else:
-            assert isinstance(edge.situation, frozenset)
             out.append(InitialSituation(partial_id, "forcing", edge.step, edge.source,
                                         edge.situation))
     return out

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 
 from . import conditions
-from .conditions import CondParseError, parse_arith, parse_condition
+from .conditions import INT_MAX, INT_MIN, CondParseError, parse_arith, parse_condition
 from .findings import Finding
 from .model import (
     ContinuousAction,
@@ -73,12 +73,14 @@ def parse_spec(doc: str | bytes | dict, source: str = "<spec>") -> GrafcetSpec:
             raise SpecSyntaxError(
                 f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # an integer literal of over 4,300 digits
+            raise SpecSyntaxError(f"{source}: invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise SpecSyntaxError(f"{source}: JSON nested too deeply") from exc
     else:
         data = doc
     spec = _build_spec(data, source, sha256)
-    errors = [f for f in validate(spec) if f.severity == "error"]
+    errors = validate(spec)
     if errors:
         raise SpecSemanticError(errors)
     return spec
@@ -110,6 +112,13 @@ def _no_unknown(data, allowed, where):
             raise SpecSchemaError(f"{where}: unknown field {key!r}")
 
 
+def _list(data, field, where):
+    value = data.get(field, [])
+    if not isinstance(value, list):
+        raise SpecSchemaError(f"{where}: {field!r} must be a list")
+    return value
+
+
 def _str_list(value, where):
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise SpecSchemaError(f"{where}: expected a list of strings")
@@ -119,9 +128,7 @@ def _str_list(value, where):
 def _build_spec(data, source, sha256) -> GrafcetSpec:
     _no_unknown(data, _TOP_FIELDS, source)
     name = _require(data, "name", str, source)
-    variables = data.get("variables", [])
-    if not isinstance(variables, list):
-        raise SpecSchemaError(f"{source}: 'variables' must be a list")
+    variables = _list(data, "variables", source)
     decls = {"input": [], "internal": [], "output": []}
     for i, v in enumerate(variables):
         where = f"{source}: variables[{i}]"
@@ -136,6 +143,8 @@ def _build_spec(data, source, sha256) -> GrafcetSpec:
         init = v.get("init")
         if init is not None and not isinstance(init, int):
             raise SpecSchemaError(f"{where}: init must be an integer")
+        if init is not None and not INT_MIN <= init <= INT_MAX:
+            raise SpecSchemaError(f"{where}: init must fit in a signed 64-bit integer")
         decls[kind].append(VariableDecl(vname, kind, vtype, init))
 
     queries = data.get("queries", [])
@@ -176,13 +185,13 @@ def _build_partial(data, where) -> PartialGrafcet:
             marked.add(sid)
 
     enclosings = []
-    for i, e in enumerate(data.get("enclosings", [])):
+    for i, e in enumerate(_list(data, "enclosings", where)):
         ewhere = f"{where}.enclosings[{i}]"
         _no_unknown(e, _ENCLOSING_FIELDS, ewhere)
         enclosings.append((_require(e, "step", str, ewhere), _require(e, "target", str, ewhere)))
 
     transitions = []
-    for i, t in enumerate(data.get("transitions", [])):
+    for i, t in enumerate(_list(data, "transitions", where)):
         twhere = f"{where}.transitions[{i}]"
         _no_unknown(t, _TRANSITION_FIELDS, twhere)
         transitions.append(
@@ -195,7 +204,7 @@ def _build_partial(data, where) -> PartialGrafcet:
         )
 
     actions = []
-    for i, a in enumerate(data.get("actions", [])):
+    for i, a in enumerate(_list(data, "actions", where)):
         awhere = f"{where}.actions[{i}]"
         _no_unknown(a, _ACTION_FIELDS, awhere)
         actions.append(_build_action(a, awhere))

@@ -66,46 +66,32 @@ def minimal_invariants(matrix: list[list[int]], cap: int = DEFAULT_CAP) -> list[
         for rp in positive:
             for rn in negative:
                 a, b = -rn[j], rp[j]
-                combined = tuple(a * x + b * y for x, y in zip(rp, rn))
-                combined = _normalize(combined)
-                if combined is not None:
-                    new_rows.append(combined)
+                new_rows.append(_normalize(tuple(a * x + b * y for x, y in zip(rp, rn))))
                 if len(new_rows) > cap:
                     raise InvariantCapExceeded(
                         f"more than {cap} intermediate invariant rows"
                     )
-        rows = _dedupe(new_rows)
-    vectors = {v for r in rows if any(r[ncols:]) for v in (_normalize(r[ncols:]),)}
-    vectors.discard(None)
-    return _minimal_support(vectors)
+        rows = list(dict.fromkeys(new_rows))  # drop repeats, keep first-seen order
+    # Every row is normalized and its matrix part is now zero, so its identity
+    # part is a nonzero vector with GCD 1.
+    return _minimal_support({r[ncols:] for r in rows})
 
 
 def _normalize(vector):
-    g = 0
-    for v in vector:
-        g = gcd(g, v)
-    if g == 0:
-        return None
+    """Divide a nonzero vector by its entries' GCD. Farkas rows are never zero:
+    each identity part starts as a unit vector, and a*rp + b*rn with a, b > 0
+    of two nonzero semi-positive parts is nonzero."""
+    g = gcd(*vector)
     if g == 1:
         return tuple(vector)
     return tuple(v // g for v in vector)
-
-
-def _dedupe(rows):
-    seen = set()
-    out = []
-    for r in rows:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
 
 
 def _support(v):
     return frozenset(i for i, x in enumerate(v) if x)
 
 
-def _minimal_support(vectors) -> list[tuple[int, ...]]:
+def _minimal_support(vectors: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     vectors = sorted(vectors)
     supports = [_support(v) for v in vectors]
     out = []
@@ -115,7 +101,7 @@ def _minimal_support(vectors) -> list[tuple[int, ...]]:
         out.append(v)
     # Canonical order: lexicographic by support, then by entries.
     out.sort(key=lambda v: (sorted(_support(v)), v))
-    return _dedupe(out)
+    return out
 
 
 def brute_force_invariants(matrix: list[list[int]], max_entry: int = 6) -> list[tuple[int, ...]]:
@@ -129,9 +115,7 @@ def brute_force_invariants(matrix: list[list[int]], max_entry: int = 6) -> list[
         if not any(v):
             continue
         if all(sum(v[i] * matrix[i][j] for i in range(nrows)) == 0 for j in range(ncols)):
-            normalized = _normalize(v)
-            if normalized is not None:
-                solutions.append(normalized)
+            solutions.append(_normalize(v))
     return _minimal_support(set(solutions))
 
 
@@ -154,11 +138,7 @@ def compute_invariants(c: PartialGrafcet, cap: int = DEFAULT_CAP
     incomplete = False
     try:
         s_invs = tuple(minimal_invariants(matrix, cap))
-        if matrix and matrix[0]:
-            t_matrix = [[matrix[i][j] for i in range(len(matrix))]
-                        for j in range(len(matrix[0]))]
-        else:
-            t_matrix = []
+        t_matrix = [list(column) for column in zip(*matrix)]
         t_invs = tuple(minimal_invariants(t_matrix, cap))
     except InvariantCapExceeded as exc:
         s_invs, t_invs = (), ()
@@ -189,13 +169,7 @@ def classify_boundedness(s_invariants, c: PartialGrafcet):
         entries = [y[i] for y in s_invariants if y[i] > 0]
         per_step[s] = max(entries) if entries else math.inf
     uncovered = frozenset(s for s, b in per_step.items() if b == math.inf)
-    covered = not uncovered and bool(c.steps)
-    if not c.steps:
-        covered = True
-    if covered and s_invariants:
-        bound: float = max(max(y) for y in s_invariants)
-    elif covered:
-        bound = 1  # no steps, vacuously bounded
-    else:
-        bound = math.inf
+    covered = not uncovered
+    # Covered without invariants means no steps: vacuously bounded by 1.
+    bound = max((max(y) for y in s_invariants), default=1) if covered else math.inf
     return covered, bound, uncovered, per_step

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
-from .conditions import (
-    Arith,
-    CondTypeError,
-    Condition,
-    typecheck,
-    variables_read,
-)
+from .conditions import Arith, CondTypeError, Condition, typecheck
 from .findings import Finding, finding, sort_findings
 
 __all__ = [
@@ -105,8 +99,7 @@ class PartialGrafcet:
         table: dict[str, list[Transition]] = {s: [] for s in self.steps}
         for t in self.transitions:
             for s in t.upstream:
-                if s in table:
-                    table[s].append(t)
+                table[s].append(t)
         return {s: tuple(ts) for s, ts in table.items()}
 
     @cached_property
@@ -115,8 +108,7 @@ class PartialGrafcet:
         table: dict[str, list[Transition]] = {s: [] for s in self.steps}
         for t in self.transitions:
             for s in t.downstream:
-                if s in table:
-                    table[s].append(t)
+                table[s].append(t)
         return {s: tuple(ts) for s, ts in table.items()}
 
     @cached_property
@@ -269,48 +261,29 @@ def _check_actions(spec, err):
                     for s in a.situation - target.step_set:
                         err(f"forced situation contains unknown step {s!r} of {a.target!r}",
                             partial=c.id, element=element)
-                elif a.situation not in ("*", "init"):
-                    err(f"invalid forced situation {a.situation!r}", partial=c.id, element=element)
     for v in sorted(continuous_written & stored_written):
         err(f"output {v!r} is written by both continuous and stored actions", element=v)
 
 
 def _check_conditions(spec, err):
+    """Type-check every condition and integer stored value with ``typecheck``."""
     types = spec.var_types
     steps = spec.step_refs
+
+    def check(expr, what, partial, element):
+        try:
+            typecheck(expr, types, steps)
+        except CondTypeError as exc:
+            err(f"{what}: {exc}", partial=partial, element=element)
+
     for c in spec.partials:
         for t in c.transitions:
             if t.condition is not None:
-                _check_cond(spec, t.condition, types, steps, err, c.id, t.id)
+                check(t.condition, "condition", c.id, t.id)
         for i, a in enumerate(c.actions):
             element = f"actions[{i}]"
             cond = getattr(a, "condition", None)
             if cond is not None:
-                _check_cond(spec, cond, types, steps, err, c.id, element)
+                check(cond, "condition", c.id, element)
             if isinstance(a, StoredAction) and isinstance(a.value, Arith):
-                for term in a.value.terms:
-                    if term.var is None:
-                        continue
-                    if term.var not in types:
-                        err(f"stored value reads undeclared variable {term.var!r}",
-                            partial=c.id, element=element)
-                    elif types[term.var] != "int":
-                        err(f"Boolean variable {term.var!r} used in arithmetic",
-                            partial=c.id, element=element)
-
-
-def _check_cond(spec, cond, types, steps, err, partial, element):
-    names, refs = variables_read(cond)
-    for name in sorted(names):
-        if name not in types:
-            err(f"condition reads undeclared variable {name!r}", partial=partial, element=element)
-            return
-    for ref in refs:
-        if (ref.partial, ref.step) not in steps:
-            err(f"condition reads unknown step variable {ref.text!r}",
-                partial=partial, element=element)
-            return
-    try:
-        typecheck(cond, types, steps)
-    except CondTypeError as exc:
-        err(str(exc), partial=partial, element=element)
+                check(a.value, "stored value", c.id, element)

@@ -4,11 +4,11 @@
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import checks, hierarchy, invariants, reachconc, varapprox
 from .findings import Finding, sort_findings
-from .hierarchy import HierarchyGraph, InitialSituation
 from .invariants import InvariantSet
 from .model import GrafcetSpec
 from .reachconc import ReachConcResult
@@ -20,8 +20,6 @@ __all__ = ["AnalysisResult", "analyze_spec"]
 @dataclass
 class AnalysisResult:
     spec: GrafcetSpec
-    hierarchy: HierarchyGraph
-    situations: dict[str, list[InitialSituation]]
     results: dict[str, list[ReachConcResult]]
     reachable_by_partial: dict[str, frozenset[str]]
     conc_by_partial: dict[str, dict[str, frozenset[str]]]
@@ -39,15 +37,11 @@ def analyze_spec(spec: GrafcetSpec) -> AnalysisResult:
     findings: list[Finding] = []
     timings: dict[str, float] = {}
 
+    @contextmanager
     def timed(name):
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timings[name] = time.perf_counter() - self.t0
-
-        return _Timer()
+        t0 = time.perf_counter()
+        yield
+        timings[name] = time.perf_counter() - t0
 
     with timed("hierarchy"):
         graph, hier_findings = hierarchy.build_hierarchy(spec)
@@ -96,8 +90,6 @@ def analyze_spec(spec: GrafcetSpec) -> AnalysisResult:
 
     return AnalysisResult(
         spec=spec,
-        hierarchy=graph,
-        situations=situations,
         results=results,
         reachable_by_partial=reachable_by_partial,
         conc_by_partial=conc_by_partial,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conditions import Arith
 from .invariants import InvariantSet
 from .model import ContinuousAction, GrafcetSpec, StoredAction
 from .reachconc import ReachConcResult
@@ -124,7 +123,6 @@ def _loop_transitions(c, inv: InvariantSet) -> set[str]:
 def classify_stored_value(action: StoredAction) -> tuple[str, int | None]:
     """('const', k) | ('shift', c) | ('opaque', None) for an integer write."""
     value = action.value
-    assert isinstance(value, Arith)
     constant = value.constant_value()
     if constant is not None:
         return "const", constant

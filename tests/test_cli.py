@@ -142,6 +142,19 @@ def _fig5_with_cond(cond):
         "transitions": [{"id": "t", "from": ["1"], "to": ["1"], "cond": cond}]}])
 
 
+def _fig5_partial_with(**fields):
+    doc = json.loads(_fig5_with())
+    return _fig5_with(partials=[{**doc["partials"][0], **fields}])
+
+
+def _fig5_with_init(digits):
+    return _fig5_with().replace(b'"init": 0', b'"init": ' + digits)
+
+
+def _fig5_with_value(digits):
+    return _fig5_with().replace(b'"k + 1"', b'"' + digits + b'"')
+
+
 def _coactive_sidecar(value):
     return json.dumps({"queries": [{"kind": "never-coactive",
                                     "a": {"var": "k", "value": value},
@@ -175,6 +188,31 @@ def _coactive_sidecar(value):
                  id="sidecar-value-number"),
     pytest.param(None, _coactive_sidecar(None), "must be true or false",
                  id="sidecar-value-null"),
+    pytest.param(_fig5_with_init(b"1" * 5000), None, "invalid JSON", id="spec-int-5000-digits"),
+    pytest.param(None, b'{"queries": [], "n": ' + b"1" * 5000 + b"}", "cannot read queries",
+                 id="sidecar-int-5000-digits"),
+    pytest.param(_fig5_with_init(b"1" * 400), None, "signed 64-bit", id="init-400-digits"),
+    pytest.param(_fig5_with_init(str(2**63).encode()), None, "signed 64-bit",
+                 id="init-above-int64"),
+    pytest.param(_fig5_with_cond("k > " + "1" * 5000), None, "64-bit range",
+                 id="cond-literal-5000-digits"),
+    pytest.param(_fig5_with_cond("1" * 400 + "*k > 0"), None, "64-bit range",
+                 id="cond-coefficient-400-digits"),
+    pytest.param(_fig5_with_cond(f"k > {2**63}"), None, "64-bit range",
+                 id="cond-literal-above-int64"),
+    pytest.param(_fig5_with_value(b"1" * 5000), None, "64-bit range",
+                 id="value-5000-digits"),
+    pytest.param(_fig5_with_value(b"1" * 400), None, "64-bit range", id="value-400-digits"),
+    pytest.param(_fig5_partial_with(actions=1), None, "'actions' must be a list",
+                 id="actions-number"),
+    pytest.param(_fig5_partial_with(transitions=1.5), None, "'transitions' must be a list",
+                 id="transitions-float"),
+    pytest.param(_fig5_partial_with(enclosings=0), None, "'enclosings' must be a list",
+                 id="enclosings-zero"),
+    pytest.param(_fig5_partial_with(enclosings=None), None, "'enclosings' must be a list",
+                 id="enclosings-null"),
+    pytest.param(None, _coactive_sidecar(True), "requires Boolean variables",
+                 id="sidecar-coactive-integer"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, spec, sidecar, message):
     path = tmp_path / "spec.grafcet.json"
@@ -187,6 +225,24 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, spec, sidecar, message
     assert code == 2
     assert message in err
     assert len(err.splitlines()) == 1
+
+
+def test_coactive_query_on_integer_is_usage_error_with_naive(tmp_path, corpus, capsys):
+    """The refined mode's case is ``sidecar-coactive-integer`` above."""
+    (tmp_path / "q.json").write_bytes(_coactive_sidecar(True))
+    code, _, err = _run(capsys, "analyze", str(corpus("fig5.grafcet.json")),
+                        "--queries", str(tmp_path / "q.json"), "--naive")
+    assert code == 2
+    assert "requires Boolean variables, got 'k'" in err
+
+
+def test_int64_bounds_are_accepted(tmp_path, capsys):
+    low, high = str(-2**63).encode(), str(2**63 - 1).encode()
+    path = tmp_path / "spec.grafcet.json"
+    for spec in (_fig5_with_init(high), _fig5_with_init(low), _fig5_with_value(high),
+                 _fig5_with_cond(f"k > {2**63 - 1} | k > -{2**63}")):
+        path.write_bytes(spec)
+        assert _run(capsys, "analyze", str(path))[0] in (0, 1)
 
 
 def test_analyze_reads_the_spec_once_and_validates_once(corpus, monkeypatch, capsys):

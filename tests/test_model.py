@@ -150,3 +150,7 @@ def test_condition_checks():
     doc["partials"][0]["actions"] = [
         {"kind": "stored", "step": "1", "var": "k", "value": "f + 1"}]
     assert any("used in arithmetic" in m for m in _errors(doc))
+    doc = _base()
+    doc["partials"][0]["actions"] = [
+        {"kind": "stored", "step": "1", "var": "k", "value": "zz + 1"}]
+    assert any("stored value" in m and "undeclared variable 'zz'" in m for m in _errors(doc))
