@@ -1,4 +1,4 @@
-"""Byte-identical reports: the corpus's JSON reports against stored digests.
+"""Byte-identical reports: the corpus's JSON and text reports against stored digests.
 
 ``report_digests.json`` maps each ``analyze`` command line (file names
 relative to the corpus) to the exit code and the sha256 of the report it
@@ -26,9 +26,10 @@ DIGESTS = Path(__file__).with_name("report_digests.json")
 def _commands() -> list[str]:
     specs = sorted(p.name for p in corpus_path("").iterdir()
                    if p.name.endswith(".grafcet.json"))
-    commands = [f"{s} --format json{flag}" for s in specs
-                for flag in ("", " --dump-invariants")]
-    commands.append("g_rit.grafcet.json --format json --queries g_rit.queries.json")
+    commands = [f"{s} --format {flag}" for s in specs
+                for flag in ("json", "json --dump-invariants", "text")]
+    commands += [f"g_rit.grafcet.json --format {fmt} --queries g_rit.queries.json"
+                 for fmt in ("json", "text")]
     return commands
 
 
