@@ -36,14 +36,10 @@ def detect_races(
     stored action, as target and as operand of an integer value.
     """
     out: list[Finding] = []
-    stored: dict[str, list] = {}
-    for c in spec.partials:
-        for i, a in enumerate(c.actions):
-            if isinstance(a, StoredAction):
-                stored.setdefault(a.var, []).append((c.id, i, a))
-
-    for var in sorted(stored):
-        actions = stored[var]
+    for var, actions in sorted(spec.writers.items()):
+        # Validation makes all writers of one variable the same kind.
+        if not isinstance(actions[0][2], StoredAction):
+            continue
         for i, (p1, i1, a1) in enumerate(actions):
             g1 = spec.global_step(p1, a1.step)
             for p2, i2, a2 in actions[i + 1:]:
@@ -62,8 +58,7 @@ def detect_races(
                             steps=(g1, g2),
                         )
                     )
-
-    return sort_findings(out)
+    return out
 
 
 def _abstract_env(spec, var_approx, reachable):
@@ -117,7 +112,7 @@ def check_conditions(
             check(t.condition, c.id, t.id)
         for i, a in enumerate(c.actions):
             check(getattr(a, "condition", None), c.id, f"actions[{i}]")
-    return sort_findings(out)
+    return out
 
 
 def unreachable_findings(spec: GrafcetSpec, reachable: set[str]) -> list[Finding]:
@@ -130,7 +125,7 @@ def unreachable_findings(spec: GrafcetSpec, reachable: set[str]) -> list[Finding
                             f"step {s!r} is unreachable in every initial situation",
                             partial=c.id, element=s)
                 )
-    return sort_findings(out)
+    return out
 
 
 def unbounded_findings(spec: GrafcetSpec,
@@ -145,7 +140,7 @@ def unbounded_findings(spec: GrafcetSpec,
                         partial=pid, element=f"actions[{idx}]",
                         reasons=bound.reasons)
             )
-    return sort_findings(out)
+    return out
 
 
 # --- safety queries --------------------------------------------------------
@@ -235,41 +230,36 @@ def _coactive(spec, global_conc, reachable, var_approx, q: SafetyQuery, naive: b
         if decl.type != "bool":
             raise ValueError(f"query {q.name!r}: never-coactive requires Boolean variables, "
                              f"got {var!r}")
-    if naive:
-        ok_a = lit_a in _value_set(var_approx, var_a)
-        ok_b = lit_b in _value_set(var_approx, var_b)
-        if ok_a and ok_b:
-            return True, (f"{var_a}={str(lit_a).lower()} and {var_b}={str(lit_b).lower()} "
-                          "are both possible values (value-set approximation)")
-        return False, ""
-    steps_a = _steps_making(spec, reachable, var_a, lit_a)
-    steps_b = _steps_making(spec, reachable, var_b, lit_b)
-    for ga in steps_a:
-        for gb in steps_b:
-            if ga == gb or gb in global_conc.get(ga, ()):
-                return True, (f"{var_a}={str(lit_a).lower()} (step {ga}) and "
-                              f"{var_b}={str(lit_b).lower()} (step {gb}) can hold "
+    steps_a = _holding_steps(spec, reachable, var_approx, var_a, lit_a, naive)
+    steps_b = _holding_steps(spec, reachable, var_approx, var_b, lit_b, naive)
+    if steps_a is None and steps_b is None:
+        return True, (f"{var_a}={str(lit_a).lower()} and {var_b}={str(lit_b).lower()} "
+                      "are both possible values (value-set approximation)")
+    for ga in [None] if steps_a is None else steps_a:
+        for gb in [None] if steps_b is None else steps_b:
+            if None in (ga, gb) or ga == gb or gb in global_conc.get(ga, ()):
+                return True, (f"{var_a}={str(lit_a).lower()} ({_when(ga)}) and "
+                              f"{var_b}={str(lit_b).lower()} ({_when(gb)}) can hold "
                               "simultaneously")
     return False, ""
 
 
-def _value_set(var_approx, var):
+def _holding_steps(spec, reachable, var_approx, var, literal, naive) -> list[str] | None:
+    """The sorted reachable steps at which ``var`` can equal ``literal``, or
+    None if it can at any time.
+
+    Only a continuous output's true value is tied to steps (unless ``naive``):
+    it holds exactly while a writing step is active. Any other value persists
+    between writes, so it can hold at any time its value set contains it; an
+    input's can always.
+    """
+    writers = spec.writers.get(var, ())
+    if literal and not naive and writers and isinstance(writers[0][2], ContinuousAction):
+        return sorted({g for pid, _, a in writers
+                       if (g := spec.global_step(pid, a.step)) in reachable})
     approx = var_approx.get(var)
-    if approx is None:  # an input: it has no value set
-        raise ValueError(f"never-coactive requires Boolean variables, got {var!r}")
-    return approx.values
+    return None if approx is None or literal in approx.values else []
 
 
-def _steps_making(spec, reachable, var, literal) -> set[str]:
-    """Reachable steps whose actions can give ``var`` the value ``literal``."""
-    steps = set()
-    for c in spec.partials:
-        for a in c.actions:
-            gid = spec.global_step(c.id, a.step)
-            if gid not in reachable:
-                continue
-            if isinstance(a, ContinuousAction) and a.var == var and literal:
-                steps.add(gid)
-            elif isinstance(a, StoredAction) and a.var == var and a.value == literal:
-                steps.add(gid)
-    return steps
+def _when(step: str | None) -> str:
+    return "any time" if step is None else f"step {step}"

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, checks, ingest
-from .findings import SEVERITIES, max_severity
+from .findings import SEVERITIES
 from .oracle import explore
 from .pipeline import AnalysisResult, analyze_spec
 
@@ -86,17 +86,16 @@ def _cmd_analyze(args) -> int:
         print(f"grafcet-lint: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = build_report(result, findings,
-                          dump_invariants=args.dump_invariants,
-                          timings=not args.no_timings)
     if args.format == "json":
+        report = build_report(result, findings,
+                              dump_invariants=args.dump_invariants,
+                              timings=not args.no_timings)
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        _print_text(report, result, findings)
+        _print_text(result, findings, timings=not args.no_timings)
 
     threshold = SEVERITIES.index(args.fail_on)
-    worst = max_severity(findings)
-    if worst is not None and SEVERITIES.index(worst) <= threshold:
+    if any(SEVERITIES.index(f.severity) <= threshold for f in findings):
         return EXIT_FINDINGS
     return EXIT_OK
 
@@ -162,10 +161,10 @@ def build_report(result: AnalysisResult, findings,
     report["execution_bounds"] = {
         f"{pid}.actions[{idx}]": {"step": b.step, "count": _num(b.count),
                                   "reasons": list(b.reasons)}
-        for (pid, idx), b in sorted(result.bounds.items())
+        for (pid, idx), b in result.bounds.items()
     }
     report["global_concurrency"] = {
-        s: sorted(v) for s, v in sorted(result.global_concurrency.items())
+        s: sorted(v) for s, v in result.global_concurrency.items()
     }
     if timings:
         report["timings_ms"] = {k: round(v * 1000, 3) for k, v in result.timings.items()}
@@ -178,14 +177,13 @@ def _num(value):
     return int(value)
 
 
-def _print_text(report, result, findings) -> None:
+def _print_text(result: AnalysisResult, findings, timings: bool) -> None:
     spec = result.spec
     print(f"{spec.name}: {len(spec.partials)} partial Grafcet(s)")
     for c in spec.partials:
-        entry = report["partials"][c.id]
-        bound = entry["boundedness"]
-        print(f"  {c.id}: {len(entry['reachable'])}/{len(c.steps)} steps reachable, "
-              f"covered={bound['covered']}, bound={bound['bound']}")
+        inv = result.invariants[c.id]
+        print(f"  {c.id}: {len(result.reachable_by_partial[c.id])}/{len(c.steps)} "
+              f"steps reachable, covered={inv.covered}, bound={_num(inv.bound)}")
     if findings:
         print(f"{len(findings)} finding(s):")
         for f in findings:
@@ -193,8 +191,8 @@ def _print_text(report, result, findings) -> None:
             print(f"  [{f.severity}] {f.kind} {where}: {f.message}")
     else:
         print("no findings")
-    if "timings_ms" in report:
-        total = sum(report["timings_ms"].values())
+    if timings:
+        total = sum(round(v * 1000, 3) for v in result.timings.values())
         print(f"analysis time: {total:.1f} ms")
 
 

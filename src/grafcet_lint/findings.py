@@ -54,11 +54,3 @@ def sort_findings(findings: list[Finding]) -> list[Finding]:
         findings,
         key=lambda f: (rank[f.severity], f.kind, f.partial or "", f.element or "", f.message),
     )
-
-
-def max_severity(findings) -> str | None:
-    present = {f.severity for f in findings}
-    for severity in SEVERITIES:
-        if severity in present:
-            return severity
-    return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -121,55 +122,46 @@ def brute_force_invariants(matrix: list[list[int]], max_entry: int = 6) -> list[
 
 @dataclass(frozen=True)
 class InvariantSet:
-    partial_id: str
     s_invariants: tuple[tuple[int, ...], ...]  # indexed like c.steps
     t_invariants: tuple[tuple[int, ...], ...]  # indexed like c.transitions
-    covered: bool
-    bound: float  # smallest known activation bound; math.inf when uncovered
-    uncovered_steps: frozenset[str]
-    per_step_bound: dict[str, float]
+    per_step_bound: dict[str, float]  # math.inf for a step no S-invariant covers
     incomplete: bool = False
+
+    @cached_property
+    def uncovered_steps(self) -> frozenset[str]:
+        return frozenset(s for s, b in self.per_step_bound.items() if b == math.inf)
+
+    @cached_property
+    def covered(self) -> bool:
+        return not self.uncovered_steps
+
+    @cached_property
+    def bound(self) -> float:
+        """The largest entry of any minimal S-invariant if every step is covered,
+        else math.inf; 1 for a partial without steps."""
+        return max(self.per_step_bound.values(), default=1)
 
 
 def compute_invariants(c: PartialGrafcet, cap: int = DEFAULT_CAP
                        ) -> tuple[InvariantSet, list[Finding]]:
     matrix = incidence(c)
-    findings: list[Finding] = []
-    incomplete = False
     try:
         s_invs = tuple(minimal_invariants(matrix, cap))
-        t_matrix = [list(column) for column in zip(*matrix)]
-        t_invs = tuple(minimal_invariants(t_matrix, cap))
+        t_invs = tuple(minimal_invariants([list(col) for col in zip(*matrix)], cap))
     except InvariantCapExceeded as exc:
-        s_invs, t_invs = (), ()
-        incomplete = True
-        findings.append(
-            finding("analysis-incomplete", "warning",
-                    f"invariant computation exceeded resource cap: {exc}", partial=c.id)
+        return (
+            InvariantSet((), (), {s: math.inf for s in c.steps}, incomplete=True),
+            [finding("analysis-incomplete", "warning",
+                     f"invariant computation exceeded resource cap: {exc}", partial=c.id)],
         )
-    covered, bound, uncovered, per_step = classify_boundedness(s_invs, c)
-    if incomplete:
-        covered, bound, uncovered = False, math.inf, frozenset(c.steps)
-        per_step = {s: math.inf for s in c.steps}
-    return (
-        InvariantSet(c.id, s_invs, t_invs, covered, bound, uncovered, per_step, incomplete),
-        findings,
-    )
+    return InvariantSet(s_invs, t_invs, classify_boundedness(s_invs, c)), []
 
 
-def classify_boundedness(s_invariants, c: PartialGrafcet):
-    """Coverage and activation bound from the minimal S-invariants.
-
-    The partial Grafcet is covered iff every step has a positive entry in
-    some S-invariant; the bound n is then the maximum entry over all minimal
-    S-invariants. Per-step maxima are also reported for transparency.
-    """
+def classify_boundedness(s_invariants, c: PartialGrafcet) -> dict[str, float]:
+    """Per-step activation bound: the step's largest entry in a minimal
+    S-invariant, math.inf if no S-invariant covers it."""
     per_step: dict[str, float] = {}
     for i, s in enumerate(c.steps):
         entries = [y[i] for y in s_invariants if y[i] > 0]
         per_step[s] = max(entries) if entries else math.inf
-    uncovered = frozenset(s for s, b in per_step.items() if b == math.inf)
-    covered = not uncovered
-    # Covered without invariants means no steps: vacuously bounded by 1.
-    bound = max((max(y) for y in s_invariants), default=1) if covered else math.inf
-    return covered, bound, uncovered, per_step
+    return per_step

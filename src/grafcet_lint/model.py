@@ -143,6 +143,17 @@ class GrafcetSpec:
         return {name: decl.type for name, decl in self.variables.items()}
 
     @cached_property
+    def writers(self) -> dict[str, list[tuple[str, int, Action]]]:
+        """Variable -> (partial id, action index, action) of each continuous and
+        stored action writing it, in declaration order."""
+        table: dict[str, list[tuple[str, int, Action]]] = {}
+        for c in self.partials:
+            for i, a in enumerate(c.actions):
+                if not isinstance(a, ForcingAction):
+                    table.setdefault(a.var, []).append((c.id, i, a))
+        return table
+
+    @cached_property
     def partial_map(self) -> dict[str, PartialGrafcet]:
         return {c.id: c for c in self.partials}
 
@@ -216,8 +227,6 @@ def _check_partials(spec, err):
 
 
 def _check_actions(spec, err):
-    continuous_written: set[str] = set()
-    stored_written: set[str] = set()
     for c in spec.partials:
         for i, a in enumerate(c.actions):
             element = f"actions[{i}]"
@@ -231,7 +240,6 @@ def _check_actions(spec, err):
                 elif decl.kind != "output" or decl.type != "bool":
                     err(f"continuous action target {a.var!r} must be a Boolean output",
                         partial=c.id, element=element)
-                continuous_written.add(a.var)
             elif isinstance(a, StoredAction):
                 decl = spec.variables.get(a.var)
                 if decl is None:
@@ -249,7 +257,6 @@ def _check_actions(spec, err):
                             partial=c.id, element=element)
                 if a.trigger not in TRIGGERS:
                     err(f"unknown trigger {a.trigger!r}", partial=c.id, element=element)
-                stored_written.add(a.var)
             else:
                 target = spec.partial_map.get(a.target)
                 if target is None:
@@ -261,8 +268,9 @@ def _check_actions(spec, err):
                     for s in a.situation - target.step_set:
                         err(f"forced situation contains unknown step {s!r} of {a.target!r}",
                             partial=c.id, element=element)
-    for v in sorted(continuous_written & stored_written):
-        err(f"output {v!r} is written by both continuous and stored actions", element=v)
+    for v, writers in spec.writers.items():
+        if len({type(a) for _, _, a in writers}) > 1:
+            err(f"output {v!r} is written by both continuous and stored actions", element=v)
 
 
 def _check_conditions(spec, err):

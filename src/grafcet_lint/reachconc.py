@@ -35,7 +35,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReachConcResult:
-    partial_id: str
     situation: InitialSituation
     reachable: frozenset[str]
     concurrency: dict[str, frozenset[str]]
@@ -144,7 +143,6 @@ def analyze_partial(
             c, situation.steps, source_seed=frozenset(reachable), rng=rng
         )
     result = ReachConcResult(
-        partial_id=c.id,
         situation=situation,
         reachable=frozenset(reachable),
         concurrency={s: frozenset(v) for s, v in conc.items()},

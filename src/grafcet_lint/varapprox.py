@@ -23,8 +23,6 @@ ActionKey = tuple[str, int]  # (partial id, action index)
 
 @dataclass(frozen=True)
 class ExecutionBound:
-    partial_id: str
-    action_index: int
     step: str
     count: float  # non-negative int, or math.inf
     reasons: tuple[str, ...]
@@ -32,7 +30,6 @@ class ExecutionBound:
 
 @dataclass(frozen=True)
 class VarApprox:
-    name: str
     type: str
     interval: tuple[float, float] | None = None  # int variables
     values: frozenset[bool] | None = None  # bool variables
@@ -106,7 +103,7 @@ def bound_executions(
     for c in spec.partials:
         for i, a in enumerate(c.actions):
             count, reasons = step_bound(c.id, a.step)
-            bounds[(c.id, i)] = ExecutionBound(c.id, i, a.step, count, reasons)
+            bounds[(c.id, i)] = ExecutionBound(a.step, count, reasons)
     return bounds
 
 
@@ -139,43 +136,36 @@ def approximate_variables(
     results: dict[str, list[ReachConcResult]],
 ) -> dict[str, VarApprox]:
     """Value approximation for every internal and output variable."""
-    writers: dict[str, list[tuple[ActionKey, object]]] = {}
-    continuous: dict[str, list[ActionKey]] = {}
-    for c in spec.partials:
-        for i, a in enumerate(c.actions):
-            if isinstance(a, StoredAction):
-                writers.setdefault(a.var, []).append(((c.id, i), a))
-            elif isinstance(a, ContinuousAction):
-                continuous.setdefault(a.var, []).append((c.id, i))
-
     out: dict[str, VarApprox] = {}
     for decl in spec.internals + spec.outputs:
+        writers = spec.writers.get(decl.name, ())
         if decl.type == "bool":
-            out[decl.name] = _approx_bool(decl, writers, continuous, bounds)
+            out[decl.name] = _approx_bool(decl, writers, bounds)
         else:
-            out[decl.name] = _approx_int(decl, writers.get(decl.name, []), bounds)
+            out[decl.name] = _approx_int(decl, writers, bounds)
     return out
 
 
-def _approx_bool(decl, writers, continuous, bounds) -> VarApprox:
+def _approx_bool(decl, writers, bounds) -> VarApprox:
     values = {bool(decl.init_value)}
-    for key in continuous.get(decl.name, []):
-        # A continuous output is false whenever no associated step is active.
-        values.add(False)
-        if bounds[key].count > 0:
-            values.add(True)
-    for key, action in writers.get(decl.name, []):
-        if bounds[key].count > 0:
-            values.add(bool(action.value))
-    return VarApprox(decl.name, "bool", values=frozenset(values))
+    for pid, i, action in writers:
+        live = bounds[(pid, i)].count > 0
+        if isinstance(action, ContinuousAction):
+            # A continuous output is false whenever no associated step is active.
+            values.add(False)
+            if live:
+                values.add(True)
+        elif live:
+            values.add(action.value)
+    return VarApprox("bool", values=frozenset(values))
 
 
-def _approx_int(decl, var_writers, bounds) -> VarApprox:
+def _approx_int(decl, writers, bounds) -> VarApprox:
     init = decl.init_value
     lo = hi = init
     neg_shift = pos_shift = 0.0
-    for key, action in var_writers:
-        count = bounds[key].count
+    for pid, i, action in writers:
+        count = bounds[(pid, i)].count
         if count == 0:
             continue
         kind, value = classify_stored_value(action)
@@ -192,4 +182,4 @@ def _approx_int(decl, var_writers, bounds) -> VarApprox:
                 neg_shift += value * count
     lo, hi = lo + neg_shift, hi + pos_shift
     # The interval always hulls the initialization value zero.
-    return VarApprox(decl.name, "int", interval=(min(lo, 0), max(hi, 0)))
+    return VarApprox("int", interval=(min(lo, 0), max(hi, 0)))

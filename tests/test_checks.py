@@ -189,3 +189,78 @@ class TestQueries:
         with pytest.raises(ValueError, match="Boolean"):
             run_queries(spec, result.global_concurrency, result.global_reachable,
                         result.variables, q, naive=True)
+
+
+def _chain_spec(variables, actions, steps=("1", "2", "3")):
+    """One partial G: a cycle through ``steps``, the first one initial."""
+    n = len(steps)
+    return parse_spec({
+        "name": "persist",
+        "variables": variables,
+        "partials": [{
+            "id": "G",
+            "steps": [{"id": s, "initial": i == 0} for i, s in enumerate(steps)],
+            "transitions": [{"id": f"t{s}", "from": [s], "to": [steps[(i + 1) % n]]}
+                            for i, s in enumerate(steps)],
+            "actions": actions,
+        }],
+    })
+
+
+def _out(name, init=0):
+    return {"name": name, "kind": "output", "type": "bool", "init": init}
+
+
+def _stored(step, var):
+    return {"kind": "stored", "step": step, "var": var, "value": "true"}
+
+
+def _continuous(step, var):
+    return {"kind": "continuous", "step": step, "var": var}
+
+
+# Each literal below persists (a stored value, an init value, a continuous
+# output's false value, an input), so it can hold while the other one does.
+PERSISTING_LITERALS = [
+    pytest.param([_out("a"), _out("b")], [_stored("2", "a"), _stored("3", "b")],
+                 ("a", True), ("b", True), id="stored-at-sequential-steps"),
+    pytest.param([_out("c", init=1), _out("d")], [_stored("2", "d")],
+                 ("c", True), ("d", True), id="init-value"),
+    pytest.param([_out("o"), _out("p")], [_continuous("2", "o"), _continuous("1", "p")],
+                 ("o", False), ("p", True), id="continuous-false"),
+    pytest.param([{"name": "x", "kind": "input", "type": "bool"}, _out("p")],
+                 [_continuous("1", "p")], ("x", True), ("p", True), id="input"),
+]
+
+
+@pytest.mark.parametrize("naive", [False, True], ids=["refined", "naive"])
+@pytest.mark.parametrize("variables, actions, a, b", PERSISTING_LITERALS)
+def test_never_coactive_sees_persisting_literals(variables, actions, a, b, naive):
+    spec = _chain_spec(variables, actions)
+    result = analyze_spec(spec)
+    q = parse_queries([{"name": "q", "kind": "never-coactive",
+                        "a": {"var": a[0], "value": a[1]},
+                        "b": {"var": b[0], "value": b[1]}}])
+    findings = run_queries(spec, result.global_concurrency, result.global_reachable,
+                           result.variables, q, naive=naive)
+    assert [f.kind for f in findings] == ["query-violation"]
+
+
+def test_never_coactive_writes_any_time_for_an_unplaced_literal():
+    spec = _chain_spec([_out("o"), _out("p")], [_continuous("2", "o"), _continuous("1", "p")])
+    result = analyze_spec(spec)
+    q = parse_queries([{"name": "q", "kind": "never-coactive",
+                        "a": {"var": "o", "value": False}, "b": {"var": "p"}}])
+    [f] = run_queries(spec, result.global_concurrency, result.global_reachable,
+                      result.variables, q)
+    assert f.message == ("query 'q': o=false (any time) and p=true (step G.1) "
+                         "can hold simultaneously")
+
+
+def test_never_coactive_holds_for_sequential_continuous_outputs():
+    spec = _chain_spec([_out("o"), _out("p")], [_continuous("2", "o"), _continuous("1", "p")])
+    result = analyze_spec(spec)
+    q = parse_queries([{"name": "q", "kind": "never-coactive",
+                        "a": {"var": "o"}, "b": {"var": "p"}}])
+    assert run_queries(spec, result.global_concurrency, result.global_reachable,
+                       result.variables, q) == []

@@ -5,10 +5,14 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import corpus_path
 
+import grafcet_lint
 from grafcet_lint import ingest, model
 from grafcet_lint.cli import main
 
@@ -82,6 +86,40 @@ def test_json_report_is_deterministic(corpus, capsys):
     _, second, _ = _run(capsys, *args)
     assert first == second
     assert "timings_ms" not in json.loads(first)
+
+
+def test_coactive_evidence_is_independent_of_hash_seed(tmp_path):
+    # s1 splits into s2..s5: a is written at s2 and s3, b at s4 and s5, so
+    # four step pairs witness the violation and the report must name one
+    # of them whatever order Python's string hashing gives to sets.
+    outputs = {"type": "bool", "kind": "output", "init": 0}
+    doc = {
+        "name": "split",
+        "variables": [{"name": "a", **outputs}, {"name": "b", **outputs}],
+        "partials": [{
+            "id": "G",
+            "steps": [{"id": "s1", "initial": True}] + [{"id": f"s{i}"} for i in range(2, 6)],
+            "transitions": [{"id": "t", "from": ["s1"], "to": ["s2", "s3", "s4", "s5"]}],
+            "actions": [{"kind": "continuous", "step": s, "var": v}
+                        for s, v in (("s2", "a"), ("s3", "a"), ("s4", "b"), ("s5", "b"))],
+        }],
+        "queries": [{"name": "q", "kind": "never-coactive",
+                     "a": {"var": "a"}, "b": {"var": "b"}}],
+    }
+    path = tmp_path / "split.grafcet.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(grafcet_lint.__file__).parents[1])
+    reports = set()
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "grafcet_lint.cli", "analyze", str(path),
+             "--format", "json", "--no-timings"],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 1, proc.stderr
+        reports.add(proc.stdout)
+    assert len(reports) == 1
 
 
 def test_infinite_bounds_serialize(corpus, capsys):

@@ -2,10 +2,13 @@
 
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from grafcet_lint import load_spec, parse_spec, serialize
+from grafcet_lint import analyze_spec, load_spec, parse_spec, serialize
+from grafcet_lint.checks import parse_queries
 from grafcet_lint.ingest import (
     SpecSchemaError,
     SpecSemanticError,
@@ -107,3 +110,21 @@ def test_random_specs_roundtrip():
     for _ in range(50):
         spec = random_spec(rng)
         assert parse_spec(serialize(spec)) == spec
+
+
+def _readme_json_blocks():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+
+
+def test_readme_examples_parse():
+    [spec_doc] = [b for b in _readme_json_blocks() if "partials" in b]
+    [query_doc] = [b for b in _readme_json_blocks() if "queries" in b]
+    spec = parse_spec(spec_doc)
+    assert analyze_spec(spec).findings == []
+    assert [c.id for c in spec.partials] == ["G1", "G2", "G3"]
+    assert spec.partial_map["G1"].enclosings == (("2", "G2"),)
+    assert [type(a).__name__ for a in spec.partial_map["G1"].actions] == \
+        ["StoredAction", "ForcingAction"]
+    assert [q.kind for q in parse_queries(query_doc["queries"])] == \
+        ["never-concurrent", "never-coactive"]

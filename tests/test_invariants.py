@@ -7,6 +7,7 @@ import pytest
 
 from grafcet_lint.invariants import (
     InvariantCapExceeded,
+    InvariantSet,
     brute_force_invariants,
     classify_boundedness,
     compute_invariants,
@@ -147,6 +148,7 @@ def test_cap_surfaces_as_incomplete_finding(load_fixture):
 def test_classify_boundedness_empty(load_fixture):
     spec = load_fixture("fig2_g1.grafcet.json")
     c = spec.partial_map["G1"]
-    covered, bound, uncovered, per_step = classify_boundedness(((1,),), c)
-    assert covered and bound == 1 and not uncovered
+    per_step = classify_boundedness(((1,),), c)
     assert per_step == {"1": 1}
+    inv = InvariantSet(((1,),), (), per_step)
+    assert inv.covered and inv.bound == 1 and not inv.uncovered_steps
