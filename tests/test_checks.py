@@ -191,20 +191,32 @@ class TestQueries:
                         result.variables, q, naive=True)
 
 
-def _chain_spec(variables, actions, steps=("1", "2", "3")):
-    """One partial G: a cycle through ``steps``, the first one initial."""
-    n = len(steps)
+
+
+def _chain_spec(variables, actions):
+    """One partial G: the cycle 1 -> 2 -> 3 -> 1, step 1 initial."""
     return parse_spec({
         "name": "persist",
         "variables": variables,
         "partials": [{
             "id": "G",
-            "steps": [{"id": s, "initial": i == 0} for i, s in enumerate(steps)],
-            "transitions": [{"id": f"t{s}", "from": [s], "to": [steps[(i + 1) % n]]}
-                            for i, s in enumerate(steps)],
+            "steps": [{"id": "1", "initial": True}, {"id": "2"}, {"id": "3"}],
+            "transitions": [{"id": "t1", "from": ["1"], "to": ["2"]},
+                            {"id": "t2", "from": ["2"], "to": ["3"]},
+                            {"id": "t3", "from": ["3"], "to": ["1"]}],
             "actions": actions,
         }],
     })
+
+
+def _coactive(spec, a, b, naive=False):
+    """Findings of the query that ``a`` and ``b``, (var, value) pairs, never coincide."""
+    result = analyze_spec(spec)
+    q = parse_queries([{"name": "q", "kind": "never-coactive",
+                        "a": {"var": a[0], "value": a[1]},
+                        "b": {"var": b[0], "value": b[1]}}])
+    return run_queries(spec, result.global_concurrency, result.global_reachable,
+                       result.variables, q, naive=naive)
 
 
 def _out(name, init=0):
@@ -236,31 +248,15 @@ PERSISTING_LITERALS = [
 @pytest.mark.parametrize("naive", [False, True], ids=["refined", "naive"])
 @pytest.mark.parametrize("variables, actions, a, b", PERSISTING_LITERALS)
 def test_never_coactive_sees_persisting_literals(variables, actions, a, b, naive):
-    spec = _chain_spec(variables, actions)
-    result = analyze_spec(spec)
-    q = parse_queries([{"name": "q", "kind": "never-coactive",
-                        "a": {"var": a[0], "value": a[1]},
-                        "b": {"var": b[0], "value": b[1]}}])
-    findings = run_queries(spec, result.global_concurrency, result.global_reachable,
-                           result.variables, q, naive=naive)
+    findings = _coactive(_chain_spec(variables, actions), a, b, naive=naive)
     assert [f.kind for f in findings] == ["query-violation"]
 
 
-def test_never_coactive_writes_any_time_for_an_unplaced_literal():
+def test_never_coactive_places_only_continuous_true_at_steps():
     spec = _chain_spec([_out("o"), _out("p")], [_continuous("2", "o"), _continuous("1", "p")])
-    result = analyze_spec(spec)
-    q = parse_queries([{"name": "q", "kind": "never-coactive",
-                        "a": {"var": "o", "value": False}, "b": {"var": "p"}}])
-    [f] = run_queries(spec, result.global_concurrency, result.global_reachable,
-                      result.variables, q)
+    # o and p are written at sequential steps, so they are never both true ...
+    assert _coactive(spec, ("o", True), ("p", True)) == []
+    # ... but o is false at any time, also while p is true at step 1.
+    [f] = _coactive(spec, ("o", False), ("p", True))
     assert f.message == ("query 'q': o=false (any time) and p=true (step G.1) "
                          "can hold simultaneously")
-
-
-def test_never_coactive_holds_for_sequential_continuous_outputs():
-    spec = _chain_spec([_out("o"), _out("p")], [_continuous("2", "o"), _continuous("1", "p")])
-    result = analyze_spec(spec)
-    q = parse_queries([{"name": "q", "kind": "never-coactive",
-                        "a": {"var": "o"}, "b": {"var": "p"}}])
-    assert run_queries(spec, result.global_concurrency, result.global_reachable,
-                       result.variables, q) == []
