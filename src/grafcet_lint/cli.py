@@ -10,7 +10,6 @@ from pathlib import Path
 
 from . import __version__, checks, ingest
 from .findings import SEVERITIES
-from .oracle import explore
 from .pipeline import AnalysisResult, analyze_spec
 
 REPORT_SCHEMA_VERSION = 1
@@ -31,7 +30,8 @@ def main(argv=None) -> int:
     analyze.add_argument("spec", help="path to a .grafcet.json file")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--dump-invariants", action="store_true",
-                         help="include incidence matrices and invariant vectors")
+                         help="include incidence matrices and invariant vectors "
+                              "(JSON report only)")
     analyze.add_argument("--queries", metavar="FILE",
                          help="sidecar .queries.json with safety queries")
     analyze.add_argument("--naive", action="store_true",
@@ -70,6 +70,9 @@ def _load(path: str):
 
 
 def _cmd_analyze(args) -> int:
+    if args.dump_invariants and args.format != "json":
+        print("grafcet-lint: --dump-invariants requires --format json", file=sys.stderr)
+        return EXIT_USAGE
     spec = _load(args.spec)
     result = analyze_spec(spec)
     findings = list(result.findings)
@@ -197,6 +200,8 @@ def _print_text(result: AnalysisResult, findings, timings: bool) -> None:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import explore
+
     spec = _load(args.spec)
     facts = explore(spec, mode=args.mode, max_states=args.max_states)
     print(json.dumps({

@@ -5,6 +5,9 @@ one row per step and one column per transition, entries in {-1, 0, +1}.
 Invariants are computed with Farkas-style elimination over exact integers:
 S-invariants are semi-positive vectors y with y^T N = 0, T-invariants are
 semi-positive x with N x = 0, both reduced to minimal support and GCD 1.
+The rows live in one insertion-ordered dict: eliminating a column deletes
+the rows it combines and inserts the combined ones, so only new rows are
+hashed, and the cost on a cyclic chain grows quadratically, not cubically.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import gcd
+from operator import add
 
 from .findings import Finding, finding
 from .model import PartialGrafcet
@@ -57,34 +61,40 @@ def minimal_invariants(matrix: list[list[int]], cap: int = DEFAULT_CAP) -> list[
     if nrows == 0:
         return []
     ncols = len(matrix[0])
-    rows = [tuple(matrix[i]) + tuple(1 if k == i else 0 for k in range(nrows))
-            for i in range(nrows)]
+    zeros = (0,) * nrows
+    # Insertion order is row order; a repeat keeps its first-seen place.
+    rows = dict.fromkeys(tuple(matrix[i]) + zeros[:i] + (1,) + zeros[i + 1:]
+                         for i in range(nrows))
     for j in range(ncols):
         positive = [r for r in rows if r[j] > 0]
         negative = [r for r in rows if r[j] < 0]
-        kept = [r for r in rows if r[j] == 0]
-        new_rows = kept
+        for r in positive + negative:
+            del rows[r]
+        count = len(rows)  # kept rows plus combined rows so far, repeats included
         for rp in positive:
+            b = rp[j]
             for rn in negative:
-                a, b = -rn[j], rp[j]
-                new_rows.append(_normalize(tuple(a * x + b * y for x, y in zip(rp, rn))))
-                if len(new_rows) > cap:
+                a = -rn[j]
+                sp = rp if a == 1 else map(a.__mul__, rp)
+                sn = rn if b == 1 else map(b.__mul__, rn)
+                rows.setdefault(_normalize(tuple(map(add, sp, sn))))
+                count += 1
+                if count > cap:
                     raise InvariantCapExceeded(
                         f"more than {cap} intermediate invariant rows"
                     )
-        rows = list(dict.fromkeys(new_rows))  # drop repeats, keep first-seen order
     # Every row is normalized and its matrix part is now zero, so its identity
     # part is a nonzero vector with GCD 1.
     return _minimal_support({r[ncols:] for r in rows})
 
 
-def _normalize(vector):
+def _normalize(vector: tuple[int, ...]) -> tuple[int, ...]:
     """Divide a nonzero vector by its entries' GCD. Farkas rows are never zero:
     each identity part starts as a unit vector, and a*rp + b*rn with a, b > 0
     of two nonzero semi-positive parts is nonzero."""
     g = gcd(*vector)
     if g == 1:
-        return tuple(vector)
+        return vector
     return tuple(v // g for v in vector)
 
 

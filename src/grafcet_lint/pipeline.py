@@ -80,7 +80,7 @@ def analyze_spec(spec: GrafcetSpec) -> AnalysisResult:
 
     with timed("varapprox"):
         bounds = varapprox.bound_executions(spec, inv_by_partial, results)
-        variables = varapprox.approximate_variables(spec, bounds, results)
+        variables = varapprox.approximate_variables(spec, bounds)
 
     with timed("checks"):
         findings.extend(checks.detect_races(spec, global_concurrency, global_reachable))

@@ -133,7 +133,6 @@ def classify_stored_value(action: StoredAction) -> tuple[str, int | None]:
 def approximate_variables(
     spec: GrafcetSpec,
     bounds: dict[ActionKey, ExecutionBound],
-    results: dict[str, list[ReachConcResult]],
 ) -> dict[str, VarApprox]:
     """Value approximation for every internal and output variable."""
     out: dict[str, VarApprox] = {}

@@ -79,6 +79,14 @@ def test_json_report_schema(corpus, capsys):
     assert report["execution_bounds"]["c.actions[0]"]["count"] == 4
 
 
+def test_dump_invariants_with_text_format_is_usage_error(corpus, capsys):
+    code, out, err = _run(capsys, "analyze", str(corpus("fig5.grafcet.json")),
+                          "--format", "text", "--dump-invariants")
+    assert code == 2
+    assert out == ""
+    assert err == "grafcet-lint: --dump-invariants requires --format json\n"
+
+
 def test_json_report_is_deterministic(corpus, capsys):
     args = ("analyze", str(corpus("g_rit.grafcet.json")), "--format", "json",
             "--no-timings")

@@ -134,7 +134,42 @@ def test_supports_are_incomparable():
 def test_cap_raises():
     matrix = [[(-1) ** (i + j) for j in range(8)] for i in range(8)]
     with pytest.raises(InvariantCapExceeded):
-        minimal_invariants(matrix, cap=2)
+        minimal_invariants(matrix, cap=15)
+    minimal_invariants(matrix, cap=16)
+
+
+def _smallest_passing_cap(matrix):
+    cap = 0
+    while True:
+        try:
+            minimal_invariants(matrix, cap=cap)
+            return cap
+        except InvariantCapExceeded:
+            cap += 1
+
+
+def test_cap_counts_kept_and_combined_rows():
+    # While a column is eliminated, the cap bounds the rows kept from the
+    # previous column plus every combined row so far, repeats included.
+    rng = random.Random(11)
+    matrices = [[[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)]
+                for _ in range(5)]
+    assert [_smallest_passing_cap(m) for m in matrices] == [13, 10, 9, 28, 21]
+
+
+def _cycle(n):
+    """Incidence matrix of a cyclic chain: t_j moves the token from s_j to s_j+1."""
+    matrix = [[0] * n for _ in range(n)]
+    for j in range(n):
+        matrix[j][j] -= 1
+        matrix[(j + 1) % n][j] += 1
+    return matrix
+
+
+def test_long_cycle_within_default_cap():
+    matrix = _cycle(600)
+    assert minimal_invariants(matrix) == [(1,) * 600]
+    assert minimal_invariants([list(col) for col in zip(*matrix)]) == [(1,) * 600]
 
 
 def test_cap_surfaces_as_incomplete_finding(load_fixture):
