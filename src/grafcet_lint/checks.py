@@ -161,6 +161,8 @@ def parse_queries(data: list[dict]) -> list[SafetyQuery]:
     for i, q in enumerate(data):
         kind = q.get("kind")
         name = q.get("name", f"query-{i}")
+        if not isinstance(name, str):
+            raise ValueError(f"query {i}: 'name' must be a string")
         if kind == "never-concurrent":
             steps = q.get("steps")
             if not isinstance(steps, list) or len(steps) != 2 or \

@@ -93,7 +93,8 @@ def _cmd_analyze(args) -> int:
         report = build_report(result, findings,
                               dump_invariants=args.dump_invariants,
                               timings=not args.no_timings)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _write_json(report, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         _print_text(result, findings, timings=not args.no_timings)
 
@@ -174,6 +175,55 @@ def build_report(result: AnalysisResult, findings,
     return report
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _write_json(obj, write, indent="\n") -> None:
+    """Stream ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` would print it.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent`` is
+    set; here every string list, the bulk of a report, is escaped and joined
+    in C, and the parts go straight to ``write`` rather than into one string.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            write(sep + _escape(key) + ": ")
+            _write_json(obj[key], write, inner)
+            sep = "," + inner
+        write(indent + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            write("[]")
+            return
+        inner = indent + "  "
+        write("[" + inner)
+        try:
+            write(("," + inner).join(map(_escape, obj)))
+        except TypeError:  # not a list of strings
+            sep = ""
+            for item in obj:
+                write(sep)
+                _write_json(item, write, inner)
+                sep = "," + inner
+        write(indent + "]")
+    elif isinstance(obj, str):
+        write(_escape(obj))
+    elif obj is True or obj is False or obj is None:
+        write(_LITERALS[obj])
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float) and math.isfinite(obj):
+        write(float.__repr__(obj))
+    else:
+        raise TypeError(f"cannot write {obj!r} as JSON")
+
+
 def _num(value):
     if value == math.inf:
         return "inf"
@@ -200,6 +250,9 @@ def _print_text(result: AnalysisResult, findings, timings: bool) -> None:
 
 
 def _cmd_oracle(args) -> int:
+    if args.max_states < 1:
+        print("grafcet-lint: --max-states must be a positive integer", file=sys.stderr)
+        return EXIT_USAGE
     from .oracle import explore
 
     spec = _load(args.spec)

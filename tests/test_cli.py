@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 from conftest import corpus_path
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import grafcet_lint
-from grafcet_lint import ingest, model
+from grafcet_lint import cli, ingest, model
 from grafcet_lint.cli import main
 
 
@@ -259,6 +260,12 @@ def _coactive_sidecar(value):
                  id="enclosings-null"),
     pytest.param(None, _coactive_sidecar(True), "requires Boolean variables",
                  id="sidecar-coactive-integer"),
+    pytest.param(None, b'{"queries": [{"kind": "never-concurrent", "name": ["x"],'
+                       b' "steps": ["c.s1", "c.s2"]}]}', "'name' must be a string",
+                 id="sidecar-name-list"),
+    pytest.param(_fig5_with(queries=[{"kind": "never-concurrent", "name": {"a": 1},
+                                      "steps": ["c.s1", "c.s2"]}]), None,
+                 "'name' must be a string", id="embedded-name-object"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, spec, sidecar, message):
     path = tmp_path / "spec.grafcet.json"
@@ -334,3 +341,78 @@ def test_oracle_subcommand(corpus, capsys):
     assert "c.s5" in facts["reachable"]
     assert ["c.s3", "c.s4"] in facts["concurrent_pairs"]
     assert facts["var_values"]["k"] == [0, 1]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_oracle_max_states_must_be_positive(corpus, capsys, value):
+    code, out, err = _run(capsys, "oracle", str(corpus("fig5.grafcet.json")),
+                          "--max-states", value)
+    assert code == 2
+    assert out == ""
+    assert err == "grafcet-lint: --max-states must be a positive integer\n"
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _written(obj) -> str:
+    sink = io.StringIO()
+    cli._write_json(obj, sink.write)
+    sink.write("\n")
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("spec", sorted(p.name for p in corpus_path("").iterdir()
+                                        if p.name.endswith(".grafcet.json")))
+def test_report_writer_matches_json_dumps_on_corpus(monkeypatch, capsys, spec):
+    """The CLI prints each report exactly as ``json.dumps`` would print its dict."""
+    reports, real_build_report = [], cli.build_report
+
+    def recording_build_report(*args, **kwargs):
+        reports.append(real_build_report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "build_report", recording_build_report)
+    argv = ["analyze", str(corpus_path(spec)), "--format", "json"]
+    sidecar = corpus_path(spec.replace(".grafcet.json", ".queries.json"))
+    if sidecar.is_file():
+        argv += ["--queries", str(sidecar)]
+    for extra in ([], ["--dump-invariants"], ["--no-timings"],
+                  ["--dump-invariants", "--no-timings"]):
+        main(argv + extra)
+        out = capsys.readouterr().out
+        assert out == _dumps(reports[-1])
+    assert ["timings_ms" in r for r in reports] == [True, True, False, False]
+    assert [all("incidence" in p for p in r["partials"].values()) for r in reports] == \
+        [False, True, False, True]
+
+
+_CHARS = st.one_of(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\xe9\u2028\U0001f600'),
+                   st.characters())
+_STRINGS = st.text(_CHARS, max_size=8)
+_SCALARS = st.one_of(_STRINGS, st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                     st.booleans(), st.none())
+
+
+@given(st.recursive(_SCALARS | st.lists(_STRINGS),
+                    lambda inner: st.lists(inner, max_size=5)
+                    | st.dictionaries(_STRINGS, inner, max_size=5),
+                    max_leaves=40))
+@settings(deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example({})
+@example([])
+@example({"": [], "b": {}, "a": [[], {}]})
+@example([True, 1, 1.0, False, 0, 0.0, -0.0, None, "1"])
+@example({"k\u00e9y": ['q"uote', "back\\slash", "ctl\x01\n", "\U0001f600"]})
+@example(["a", ["b", 2], "c"])
+def test_report_writer_matches_json_dumps(obj):
+    assert _written(obj) == _dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, ("tuple",), [b"x"], {"a": float("nan")},
+                                 [float("inf")], {1: "key is not a string"}])
+def test_report_writer_rejects_what_is_not_json(obj):
+    with pytest.raises(TypeError):
+        _written(obj)
