@@ -113,7 +113,11 @@ def _query_data(sidecar, spec):
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         print(f"grafcet-lint: cannot read queries {sidecar}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    return doc.get("queries", []) if isinstance(doc, dict) else None
+    if isinstance(doc, dict) and list(doc) != ["queries"]:
+        print(f"grafcet-lint: queries {sidecar}: expected an object whose one member is "
+              f"'queries', found members {sorted(doc)}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return doc["queries"] if isinstance(doc, dict) else None
 
 
 def build_report(result: AnalysisResult, findings,

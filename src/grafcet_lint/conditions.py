@@ -44,6 +44,7 @@ __all__ = [
     "to_text",
     "typecheck",
     "variables_read",
+    "walk",
 ]
 
 
@@ -151,7 +152,7 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     yield "eof", "", len(text)
 
 
-# Deepest nesting of parentheses and negations; the parser and the tree walkers
+# Deepest nesting of parentheses and negations; the parser and the evaluators
 # recurse a few frames per level, far below the interpreter's recursion limit.
 MAX_NESTING = 100
 
@@ -189,20 +190,16 @@ class _Parser:
 
     # expr := or
     def parse_expr(self) -> Condition:
-        items = [self.parse_and()]
-        while self.accept("|"):
-            items.append(self.parse_and())
-        if len(items) == 1:
-            return items[0]
-        return NaryOp("|", tuple(items))
+        return self._chain("|", self.parse_and)
 
     def parse_and(self) -> Condition:
-        items = [self.parse_unary()]
-        while self.accept("&"):
-            items.append(self.parse_unary())
-        if len(items) == 1:
-            return items[0]
-        return NaryOp("&", tuple(items))
+        return self._chain("&", self.parse_unary)
+
+    def _chain(self, op: str, parse_item: Callable[[], Condition]) -> Condition:
+        items = [parse_item()]
+        while self.accept(op):
+            items.append(parse_item())
+        return items[0] if len(items) == 1 else NaryOp(op, tuple(items))
 
     def parse_unary(self) -> Condition:
         self.depth += 1
@@ -296,23 +293,13 @@ class _Parser:
         raise CondParseError(f"expected a term, found {val or 'end of input'!r}", pos)
 
 
-def parse_condition(
-    text: str,
-    types: Mapping[str, str] | None = None,
-    steps: "set[tuple[str, str]] | None" = None,
-) -> Condition:
-    """Parse a condition string into an expression tree.
-
-    When ``types`` is given (variable name -> 'bool' | 'int'), the tree is
-    type-checked; ``steps`` then lists the known (partial, step) pairs.
-    """
+def parse_condition(text: str) -> Condition:
+    """Parse a condition string into an expression tree."""
     parser = _Parser(text)
     cond = parser.parse_expr()
     kind, val, pos = parser.cur
     if kind != "eof":
         raise CondParseError(f"trailing input {val!r}", pos)
-    if types is not None:
-        typecheck(cond, types, steps)
     return cond
 
 
@@ -326,6 +313,23 @@ def parse_arith(text: str) -> Arith:
     return expr
 
 
+def walk(cond: Condition) -> Iterator[Condition]:
+    """Every node of a condition tree in pre-order, left to right.
+
+    A ``Not``'s or an ``Edge``'s operand and a ``NaryOp``'s items are visited.
+    Every other node, a ``Cmp`` included, is a leaf; callers read a ``Cmp``'s
+    ``left`` and ``right`` themselves.
+    """
+    stack = [cond]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Not, Edge)):
+            stack.append(node.operand)
+        elif isinstance(node, NaryOp):
+            stack.extend(reversed(node.items))
+
+
 def typecheck(
     expr: Union[Condition, Arith],
     types: Mapping[str, str],
@@ -333,62 +337,38 @@ def typecheck(
 ) -> None:
     """Verify Boolean/integer discipline and that every name is declared in
     ``types`` (and each step reference in ``steps``, if given); raises
-    CondTypeError on the first violation."""
+    CondTypeError on the first violation in pre-order."""
 
     def var_type(name: str) -> str:
         if name not in types:
             raise CondTypeError(f"undeclared variable {name!r}")
         return types[name]
 
-    def check_bool(node: Condition) -> None:
+    for node in walk(expr):  # an Arith is a one-node tree
         if isinstance(node, VarRef):
             if var_type(node.name) != "bool":
                 raise CondTypeError(f"integer variable {node.name!r} used as Boolean")
         elif isinstance(node, StepRef):
             if steps is not None and (node.partial, node.step) not in steps:
                 raise CondTypeError(f"unknown step variable {node.text!r}")
-        elif isinstance(node, (Not, Edge)):
-            check_bool(node.operand)
-        elif isinstance(node, NaryOp):
-            for item in node.items:
-                check_bool(item)
-        elif isinstance(node, Cmp):
-            check_arith(node.left)
-            check_arith(node.right)
-
-    def check_arith(expr: Arith) -> None:
-        for term in expr.terms:
-            if term.var is not None and var_type(term.var) != "int":
-                raise CondTypeError(f"Boolean variable {term.var!r} used in arithmetic")
-
-    if isinstance(expr, Arith):
-        check_arith(expr)
-    else:
-        check_bool(expr)
+        elif isinstance(node, (Cmp, Arith)):
+            terms = node.left.terms + node.right.terms if isinstance(node, Cmp) else node.terms
+            for term in terms:
+                if term.var is not None and var_type(term.var) != "int":
+                    raise CondTypeError(f"Boolean variable {term.var!r} used in arithmetic")
 
 
 def variables_read(cond: Condition) -> tuple[set[str], set[StepRef]]:
     """All variable names and step references occurring in a condition."""
     names: set[str] = set()
     refs: set[StepRef] = set()
-
-    def walk(node):
+    for node in walk(cond):
         if isinstance(node, VarRef):
             names.add(node.name)
         elif isinstance(node, StepRef):
             refs.add(node)
-        elif isinstance(node, Not):
-            walk(node.operand)
-        elif isinstance(node, NaryOp):
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, Edge):
-            walk(node.operand)
         elif isinstance(node, Cmp):
-            for term in node.left.terms + node.right.terms:
-                if term.var is not None:
-                    names.add(term.var)
-    walk(cond)
+            names.update(t.var for t in node.left.terms + node.right.terms if t.var is not None)
     return names, refs
 
 

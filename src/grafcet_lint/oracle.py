@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
-from .conditions import Arith, Edge, StepRef, VarRef, concrete_eval
+from .conditions import Edge, StepRef, VarRef, concrete_eval, walk
 from .model import ContinuousAction, ForcingAction, GrafcetSpec, PartialGrafcet, StoredAction
 
 __all__ = ["OracleFacts", "explore", "explore_partial"]
@@ -72,34 +72,14 @@ class _World:
             self.bool_inputs = [d.name for d in spec.inputs if d.type == "bool"]
             if any(d.type == "int" for d in spec.inputs):
                 raise ValueError("semantic mode does not support integer inputs")
-            self.edge_operands = self._edge_operands()
-
-    def _edge_operands(self):
-        operands = set()
-
-        def scan(cond):
-            if cond is None:
-                return
-            stack = [cond]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Edge):
-                    op = node.operand
-                    operands.add(op.name if isinstance(op, VarRef) else
-                                 f"{op.partial}.{op.step}")
-                for attr in ("operand", "items", "left", "right"):
-                    child = getattr(node, attr, None)
-                    if isinstance(child, tuple):
-                        stack.extend(child)
-                    elif child is not None and not isinstance(child, (str, Arith)):
-                        stack.append(child)
-
-        for c in self.partials:
-            for t in c.transitions:
-                scan(t.condition)
-            for a in c.actions:
-                scan(getattr(a, "condition", None))
-        return sorted(operands)
+            conds = [t.condition for c in partials for t in c.transitions]
+            conds += [getattr(a, "condition", None) for c in partials for a in c.actions]
+            self.edge_operands = sorted({
+                node.operand.name if isinstance(node.operand, VarRef) else
+                f"{node.operand.partial}.{node.operand.step}"
+                for cond in conds if cond is not None
+                for node in walk(cond) if isinstance(node, Edge)
+            })
 
 
 def explore(

@@ -221,6 +221,14 @@ def _coactive_sidecar(value):
     pytest.param(None, b'[{"kind": "never-concurrent"}]', "list of objects",
                  id="sidecar-list"),
     pytest.param(None, b'{"queries": 5}', "list of objects", id="sidecar-queries-number"),
+    pytest.param(None, b'{"querys": [{"kind": "never-concurrent", "steps": ["c.zz", "c.s1"]}]}',
+                 "one member is 'queries', found members ['querys']",
+                 id="sidecar-misspelled-key"),
+    pytest.param(None, b"{}", "one member is 'queries', found members []",
+                 id="sidecar-empty-object"),
+    pytest.param(None, b'{"queries": [], "version": 1}',
+                 "one member is 'queries', found members ['queries', 'version']",
+                 id="sidecar-extra-member"),
     pytest.param(None, b'{"queries": [{"kind": "never-concurrent", "steps": [1, 2]}]}',
                  "two global step ids", id="sidecar-step-not-string"),
     pytest.param(None, b'{"queries": [{"kind": "never-coactive", "a": {"var": []},'

@@ -23,7 +23,9 @@ from grafcet_lint.conditions import (
     parse_arith,
     parse_condition,
     to_text,
+    typecheck,
     variables_read,
+    walk,
 )
 
 TYPES = {"a": "bool", "b": "bool", "x": "bool", "k": "int", "n": "int"}
@@ -39,14 +41,16 @@ class TestParsing:
         assert parse_condition("false") == BoolLit(False)
 
     def test_edge_and_comparison(self):
-        cond = parse_condition("re(x) & k >= 3", TYPES)
+        cond = parse_condition("re(x) & k >= 3")
+        typecheck(cond, TYPES)
         assert cond == NaryOp("&", (
             Edge("re", VarRef("x")),
             Cmp(">=", Arith((Term(1, "k"),)), Arith((Term(3),))),
         ))
 
     def test_step_variable_and_negated_edge(self):
-        cond = parse_condition("XG1.2 & !fe(b)", TYPES, STEPS)
+        cond = parse_condition("XG1.2 & !fe(b)")
+        typecheck(cond, TYPES, STEPS)
         assert cond == NaryOp("&", (StepRef("G1", "2"), Not(Edge("fe", VarRef("b")))))
 
     def test_precedence_or_binds_weakest(self):
@@ -78,25 +82,49 @@ class TestParsing:
 
     def test_edge_of_integer_is_type_error(self):
         with pytest.raises(CondTypeError):
-            parse_condition("re(k)", TYPES)
+            typecheck(parse_condition("re(k)"), TYPES)
 
     def test_bool_in_arithmetic_is_type_error(self):
         with pytest.raises(CondTypeError):
-            parse_condition("a + 1 = 2", TYPES)
+            typecheck(parse_condition("a + 1 = 2"), TYPES)
 
     def test_unknown_variable(self):
         with pytest.raises(CondTypeError):
-            parse_condition("zz", TYPES)
+            typecheck(parse_condition("zz"), TYPES)
 
     def test_unknown_step(self):
         with pytest.raises(CondTypeError):
-            parse_condition("XG9.1", TYPES, STEPS)
+            typecheck(parse_condition("XG9.1"), TYPES, STEPS)
 
     def test_parse_arith(self):
         assert parse_arith("k + 1") == Arith((Term(1, "k"), Term(1)))
         assert parse_arith("-2*k") == Arith((Term(-2, "k"),))
         with pytest.raises(CondParseError):
             parse_arith("k >")
+
+
+class TestWalk:
+    def test_pre_order_left_to_right(self):
+        cond = parse_condition("!a & (re(b) | XG1.2) & k = 1")
+        re_b = Edge("re", VarRef("b"))
+        either = NaryOp("|", (re_b, StepRef("G1", "2")))
+        cmp = Cmp("=", Arith((Term(1, "k"),)), Arith((Term(1),)))
+        assert list(walk(cond)) == [
+            cond, Not(VarRef("a")), VarRef("a"), either, re_b, VarRef("b"),
+            StepRef("G1", "2"), cmp,
+        ]
+
+    @pytest.mark.parametrize("text, message", [
+        ("k & a + 1 = 2", "integer variable 'k' used as Boolean"),
+        ("a + 1 = 2 & k", "Boolean variable 'a' used in arithmetic"),
+        ("!(zz | k) & b", "undeclared variable 'zz'"),
+        ("n + x = zz", "Boolean variable 'x' used in arithmetic"),
+        ("XG9.1 | re(k)", "unknown step variable 'XG9.1'"),
+    ])
+    def test_typecheck_reports_first_violation_in_pre_order(self, text, message):
+        with pytest.raises(CondTypeError) as exc:
+            typecheck(parse_condition(text), TYPES, STEPS)
+        assert str(exc.value) == message
 
 
 class TestVariablesRead:

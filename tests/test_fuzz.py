@@ -2,9 +2,10 @@
 exit-code contract (0 clean, 1 findings, 2 usage or input error) and raises
 nothing.
 
-Each example takes a corpus spec and applies one to three mutations at
-paths chosen by walking down from the root: replace the value there, delete
-its key, or duplicate it inside its list. The replacement pool holds values of
+Each example takes a corpus spec, or the rotary table's query sidecar, and
+applies one to three mutations at paths chosen by walking down from the root
+(in the sidecar, from a node below it): replace the value there, delete its
+key, or duplicate it inside its list. The replacement pool holds values of
 every JSON type, integers beyond the signed 64-bit range and beyond Python's
 4,300-digit conversion limit, non-list values and ``null``.
 """
@@ -60,17 +61,9 @@ def _mutate(data, doc):
     return doc
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_mutated_corpus_keeps_exit_code_contract(tmp_path, data):
-    doc = copy.deepcopy(DOCS[data.draw(st.sampled_from(sorted(DOCS)))])
-    for _ in range(data.draw(st.integers(1, 3))):
-        doc = _mutate(data, doc)
-    text = json.dumps(doc).replace(json.dumps(HUGE), "7" * 5000)
-    path = tmp_path / "spec.grafcet.json"
-    path.write_text(text)
-    argv = ["analyze", str(path), "--no-timings"] + data.draw(
+def _assert_contract(data, path, doc, argv):
+    path.write_text(json.dumps(doc).replace(json.dumps(HUGE), "7" * 5000))
+    argv = argv + ["--no-timings"] + data.draw(
         st.sampled_from([[], ["--format", "json"], ["--naive"]]))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -78,3 +71,42 @@ def test_mutated_corpus_keeps_exit_code_contract(tmp_path, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1
+
+
+FUZZ = dict(deadline=None, derandomize=True, database=None,
+            suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+
+@settings(max_examples=150, **FUZZ)
+@given(data=st.data())
+def test_mutated_corpus_keeps_exit_code_contract(tmp_path, data):
+    doc = copy.deepcopy(DOCS[data.draw(st.sampled_from(sorted(DOCS)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc)
+    path = tmp_path / "spec.grafcet.json"
+    _assert_contract(data, path, doc, ["analyze", str(path)])
+
+
+def _positions(node):
+    """(parent, key) of every node below ``node``."""
+    for key in _children(node):
+        yield node, key
+        yield from _positions(node[key])
+
+
+# Each example analyses the rotary table, so 100 examples (0.9 s on a 2-vCPU host).
+@settings(max_examples=100, **FUZZ)
+@given(data=st.data())
+def test_mutated_queries_keep_exit_code_contract(tmp_path, data):
+    doc = json.loads(corpus_path("g_rit.queries.json").read_text())
+    # From the root, nine in ten examples replaced the whole document and ended
+    # at "'queries' must be a list of objects"; so each mutation walks down
+    # from a node drawn anywhere below the root.
+    for _ in range(data.draw(st.integers(1, 3))):
+        positions = list(_positions(doc))
+        if positions:
+            parent, key = data.draw(st.sampled_from(positions))
+            parent[key] = _mutate(data, parent[key])
+    path = tmp_path / "q.json"
+    _assert_contract(data, path, doc, ["analyze", str(corpus_path("g_rit.grafcet.json")),
+                                       "--queries", str(path)])

@@ -1,7 +1,7 @@
 """Explicit-state exploration oracle."""
 
 from grafcet_lint import parse_spec
-from grafcet_lint.oracle import explore, explore_partial
+from grafcet_lint.oracle import _World, explore, explore_partial
 
 
 def test_linear_chain_no_pairs():
@@ -155,3 +155,24 @@ def test_source_transition_reactivates_concurrently(load_fixture):
     facts = explore(spec)
     # The source transition can re-activate step 1 while step 2 is active.
     assert frozenset({"G5.1", "G5.2"}) in facts.pairs
+
+
+def test_edge_operands_are_found_at_any_depth():
+    spec = parse_spec({
+        "name": "t",
+        "variables": [{"name": n, "kind": "input", "type": "bool"}
+                      for n in ("a", "b", "c", "d", "e")]
+                     + [{"name": "lamp", "kind": "output", "type": "bool"}],
+        "partials": [{
+            "id": "G1",
+            "steps": [{"id": "1", "initial": True}, {"id": "2"}],
+            "transitions": [
+                {"id": "t1", "from": ["1"], "to": ["2"], "cond": "!(a & fe(b))"},
+                {"id": "t2", "from": ["2"], "to": ["1"], "cond": "c | d & re(XG1.2)"},
+            ],
+            "actions": [{"kind": "continuous", "step": "2", "var": "lamp",
+                         "cond": "!!re(e) | a"}],
+        }],
+    })
+    world = _World(spec, list(spec.partials), "semantic")
+    assert world.edge_operands == ["G1.2", "b", "e"]
