@@ -260,12 +260,17 @@ def _cmd_oracle(args) -> int:
     from .oracle import explore
 
     spec = _load(args.spec)
-    facts = explore(spec, mode=args.mode, max_states=args.max_states)
+    try:
+        facts = explore(spec, mode=args.mode, max_states=args.max_states)
+    except ValueError as exc:  # a spec the semantic mode cannot enumerate
+        print(f"grafcet-lint: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(json.dumps({
         "reachable": sorted(facts.reachable),
         "concurrent_pairs": sorted(sorted(p) for p in facts.pairs),
         "var_values": {k: sorted(v) for k, v in facts.var_values.items()},
         "conflicts": sorted(sorted(map(list, p)) for p in facts.conflicts),
+        "states_seen": facts.states_seen,
         "inconclusive": facts.inconclusive,
     }, indent=2))
     return EXIT_OK

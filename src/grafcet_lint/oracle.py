@@ -1,18 +1,21 @@
 """Explicit-state interpreter for small specifications, used as a testing
 oracle for the soundness of the structural analyses.
 
-States track the set of active steps per partial Grafcet (step activity is
-Boolean: activating an already active step maintains it without producing a
-new activation event) plus the valuation of stored variables. In
-``structural`` mode transition and action conditions are havocked (any
-Boolean outcome is possible), matching the relaxation the structural
-analysis performs; ``semantic`` mode evaluates them over enumerated Boolean
-input valuations with one-step history for edge events.
+A state holds its active steps as one ``int`` bitset over dense step
+indices (partials in declaration order, then each partial's steps in
+declaration order) plus the valuation of stored variables. Step activity is
+Boolean: activating an already active step maintains it without producing
+a new activation event. In ``structural`` mode transition and action
+conditions are havocked (any Boolean outcome is possible), matching the
+relaxation the structural analysis performs; ``semantic`` mode evaluates
+them over enumerated Boolean input valuations with one-step history for
+edge events.
 
 Exploration both fires single transitions and simultaneous non-conflicting
 sets (no two fired transitions share an upstream step), unioning the
 observed facts, so the oracle stays conservative with respect to either
-interpretation of GRAFCET's evolution rules.
+interpretation of GRAFCET's evolution rules. Activation events are visited
+in step-index order, so the results do not depend on string hashing.
 """
 
 from __future__ import annotations
@@ -22,11 +25,14 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 from .conditions import Edge, StepRef, VarRef, concrete_eval, walk
-from .model import ContinuousAction, ForcingAction, GrafcetSpec, PartialGrafcet, StoredAction
+from .model import ContinuousAction, GrafcetSpec, PartialGrafcet, StoredAction
 
 __all__ = ["OracleFacts", "explore", "explore_partial"]
 
 ActionKey = tuple[str, int]
+
+# Semantic mode enumerates every valuation of the Boolean inputs per state.
+MAX_BOOL_INPUTS = 6
 
 
 @dataclass
@@ -40,38 +46,118 @@ class OracleFacts:
     inconclusive: bool = False
 
 
-class _World:
-    """Static tables shared by the whole exploration."""
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def __init__(self, spec: GrafcetSpec, partials: list[PartialGrafcet], mode: str):
-        self.spec = spec
-        self.partials = partials
+
+class _World:
+    """Static tables shared by the whole exploration. Step ``i`` of the dense
+    numbering is bit ``1 << i`` of a state's active mask."""
+
+    def __init__(self, spec: GrafcetSpec, partials: list[PartialGrafcet], mode: str,
+                 track_activations: tuple[str, ...] = ()):
         self.mode = mode
-        self.transitions = [(c, t) for c in partials for t in c.transitions]
-        self.stored: list[tuple[ActionKey, str, StoredAction]] = []
-        self.continuous: list[tuple[str, ContinuousAction]] = []
-        self.enclosings: list[tuple[str, str, PartialGrafcet]] = []  # (anchor gid, pid, target)
-        self.forcings: list[tuple[str, ForcingAction, PartialGrafcet]] = []
-        pmap = {c.id: c for c in partials}
-        for c in partials:
-            for i, a in enumerate(c.actions):
-                gid = f"{c.id}.{a.step}"
-                if isinstance(a, StoredAction):
-                    self.stored.append(((c.id, i), gid, a))
-                elif isinstance(a, ContinuousAction):
-                    self.continuous.append((gid, a))
-                elif a.target in pmap:
-                    self.forcings.append((gid, a, pmap[a.target]))
-            for step, target in c.enclosings:
-                if target in pmap:
-                    self.enclosings.append((f"{c.id}.{step}", c.id, pmap[target]))
-        self.stored_vars = sorted({a.var for _, _, a in self.stored})
-        self.cont_vars = sorted({a.var for _, a in self.continuous})
-        self.defaults = {d.name: d.init_value for d in spec.internals + spec.outputs}
+        self.input_choices = [{}]
         if mode == "semantic":
-            self.bool_inputs = [d.name for d in spec.inputs if d.type == "bool"]
             if any(d.type == "int" for d in spec.inputs):
                 raise ValueError("semantic mode does not support integer inputs")
+            names = [d.name for d in spec.inputs]
+            if len(names) > MAX_BOOL_INPUTS:
+                raise ValueError(f"semantic mode supports at most {MAX_BOOL_INPUTS} "
+                                 f"Boolean inputs, got {len(names)}")
+            self.input_choices = [dict(zip(names, bits))
+                                  for bits in product((False, True), repeat=len(names))]
+        self.gids = [f"{c.id}.{s}" for c in partials for s in c.steps]
+        self.bit = {gid: 1 << i for i, gid in enumerate(self.gids)}
+        pmap = {c.id: c for c in partials}
+
+        def mask(c, steps):
+            return sum(self.bit[f"{c.id}.{s}"] for s in steps)
+
+        self.enclosings: list[tuple[int, int, int]] = []  # (anchor, target marked, target)
+        self.forcings: list[tuple[int, int | None, int]] = []  # (anchor, wanted or None, target)
+        anchors = dict.fromkeys(pmap, 0)  # partial -> anchors of edges into it
+        holds = dict.fromkeys(pmap, 0)  # partial -> anchors of forcing orders on it
+        stored: list[tuple[ActionKey, int, StoredAction]] = []  # (key, step bit, action)
+        self.continuous: list[tuple[int, str]] = []  # (step bit, output)
+        for c in partials:
+            for i, a in enumerate(c.actions):
+                anchor = self.bit[f"{c.id}.{a.step}"]
+                if isinstance(a, StoredAction):
+                    stored.append(((c.id, i), anchor, a))
+                elif isinstance(a, ContinuousAction):
+                    self.continuous.append((anchor, a.var))
+                elif a.target in pmap:
+                    t = pmap[a.target]
+                    wanted = None if a.situation == "*" else mask(
+                        t, a.situation if isinstance(a.situation, frozenset) else t.initial)
+                    self.forcings.append((anchor, wanted, mask(t, t.steps)))
+                    anchors[t.id] |= anchor
+                    holds[t.id] |= anchor
+            for step, target in c.enclosings:
+                if target in pmap:
+                    t = pmap[target]
+                    anchor = self.bit[f"{c.id}.{step}"]
+                    self.enclosings.append((anchor, mask(t, t.marked), mask(t, t.steps)))
+                    anchors[t.id] |= anchor
+        self.settle_rounds = 10 * (len(self.enclosings) + len(self.forcings) + 1)
+
+        # (upstream, downstream, hold, wake, condition): a transition is
+        # enabled when its upstream steps are active and no forcing order on
+        # its partial is (hold); a source transition of a partial without
+        # initial steps stays silent until one of its steps or anchors is
+        # active (wake). Conditions are kept only where they are evaluated.
+        self.transitions: list[tuple[int, int, int, int, object]] = []
+        for c in partials:
+            wake = 0 if c.initial else mask(c, c.steps) | anchors[c.id]
+            for t in c.transitions:
+                self.transitions.append((
+                    mask(c, t.upstream), mask(c, t.downstream), holds[c.id],
+                    wake if t.is_source else 0,
+                    t.condition if mode == "semantic" else None))
+
+        self.stored_vars = sorted({a.var for _, _, a in stored})
+        self.cont_vars = sorted({var for _, var in self.continuous})
+        self.defaults = {d.name: d.init_value for d in spec.internals + spec.outputs}
+        self.stored_pos = {v: i for i, v in enumerate(self.stored_vars)}
+        self.initial_vals = tuple(self.defaults[v] for v in self.stored_vars)
+        # Stored actions by the step index whose activation or deactivation
+        # triggers them, as (var position, constant, ((coeff, var position),
+        # ...), capped, condition); a Boolean literal is an uncapped constant.
+        self.on_activation: dict[int, list] = {}
+        self.on_deactivation: dict[int, list] = {}
+        writers: dict[str, list[tuple[int, ActionKey]]] = {}
+        for key, anchor, a in stored:
+            if isinstance(a.value, bool):
+                const, terms, capped = int(a.value), (), False
+            else:
+                const = sum(t.coeff * (1 if t.var is None else self.defaults.get(t.var, 0))
+                            for t in a.value.terms if t.var not in self.stored_pos)
+                terms = tuple((t.coeff, self.stored_pos[t.var])
+                              for t in a.value.terms if t.var in self.stored_pos)
+                capped = True
+            table = self.on_deactivation if a.trigger == "deactivation" else self.on_activation
+            table.setdefault(anchor.bit_length() - 1, []).append(
+                (self.stored_pos[a.var], const, terms, capped, a.condition))
+            writers.setdefault(a.var, []).append((anchor, key))
+        # Write-write conflicts: two distinct stored writers of one variable
+        # attached to co-active steps.
+        self.writers = [w for w in writers.values() if len(w) > 1]
+        # Tracked steps count their activations; a tracked name that is not
+        # a step of the world keeps the count 0.
+        self.tracked = list(dict.fromkeys(track_activations))
+        self.track_at = {self.bit[gid].bit_length() - 1: n
+                         for n, gid in enumerate(self.tracked) if gid in self.bit}
+        # Only changes of these steps are events: they trigger stored actions
+        # or count activations.
+        self.watched = sum(1 << i for i in {*self.on_activation, *self.on_deactivation,
+                                             *self.track_at})
+
+        if mode == "semantic":
             conds = [t.condition for c in partials for t in c.transitions]
             conds += [getattr(a, "condition", None) for c in partials for a in c.actions]
             self.edge_operands = sorted({
@@ -114,195 +200,144 @@ def explore_partial(
 
 def _explore(spec, partials, initial_override, mode, max_states,
              value_cap, track_activations, activation_cap) -> OracleFacts:
-    world = _World(spec, partials, mode)
+    world = _World(spec, partials, mode, track_activations)
     facts = OracleFacts()
     facts.var_values = {v: set() for v in world.stored_vars + world.cont_vars}
 
-    init_active: dict[str, int] = {}
     if initial_override is not None:
-        for s in initial_override:
-            init_active[f"{partials[0].id}.{s}"] = 1
+        entry = [(partials[0].id, s) for s in initial_override]
     else:
-        for c in partials:
-            for s in c.initial:
-                init_active[f"{c.id}.{s}"] = 1
-    init_vars = {}
-    for decl in spec.internals + spec.outputs:
-        if decl.name in world.stored_vars:
-            init_vars[decl.name] = decl.init_value
-
-    active, events = _settle_hierarchy(world, {}, dict(init_active), facts)
+        entry = [(c.id, s) for c in partials for s in c.initial]
+    active, events = _settle_hierarchy(world, 0, sum(world.bit[f"{p}.{s}"] for p, s in entry))
     if active is None:
+        facts.inconclusive = True
         return facts
-    track = {s: 0 for s in track_activations}
-    for step, delta in events:
-        if delta > 0 and step in track:
-            track[step] += 1
+    counts = [0] * len(world.tracked)
+    for i, delta in events:
+        if delta > 0 and i in world.track_at:
+            counts[world.track_at[i]] += 1
 
-    initial_states = _run_triggers(world, active, init_vars, events, value_cap, facts,
-                                   None)
-    frontier = deque()
+    # A state is (active mask, stored values, activation counts, previous
+    # edge-operand values); it is also its own seen-set key.
     seen = set()
-    for active2, vars2 in initial_states:
-        state = _freeze(active2, vars2, track, None)
+    frontier = deque()
+    for vals in _run_triggers(world, active, world.initial_vals, events, value_cap,
+                              facts, None, {}):
+        state = (active, vals, tuple(counts), None)
         if state not in seen:
             seen.add(state)
-            frontier.append((active2, vars2, dict(track), None))
-            _record(world, active2, vars2, facts, dict(track))
-
+            frontier.append(state)
     while frontier:
-        active, varvals, trackmap, prev = frontier.popleft()
-        successors = _successors(world, active, varvals, trackmap, prev,
-                                 value_cap, activation_cap, facts)
-        for active2, vars2, track2, prev2 in successors:
-            state = _freeze(active2, vars2, track2, prev2)
+        for state in _successors(world, *frontier.popleft(), value_cap,
+                                 activation_cap, facts):
             if state in seen:
                 continue
             if len(seen) >= max_states:
                 facts.inconclusive = True
+                _record(world, facts, seen)
                 return facts
             seen.add(state)
-            frontier.append((active2, vars2, track2, prev2))
-            _record(world, active2, vars2, facts, track2)
+            frontier.append(state)
+    _record(world, facts, seen)
     facts.states_seen = len(seen)
     return facts
 
 
-def _freeze(active, varvals, track, prev):
-    return (
-        tuple(sorted(s for s, v in active.items() if v)),
-        tuple(sorted(varvals.items())),
-        tuple(sorted(track.items())),
-        prev,
-    )
+def _record(world, facts, states):
+    """Fill ``facts`` from the visited states; the step facts are derived once
+    per distinct active mask, and step ids are rebuilt from indices here."""
+    masks = {s[0] for s in states}
+    union = 0
+    index_pairs = set()
+    for m in masks:
+        union |= m
+        index_pairs.update(combinations(_bits(m), 2))
+        for writers in world.writers:
+            keys = [key for anchor, key in writers if m & anchor]
+            for k1, k2 in combinations(keys, 2):
+                facts.conflicts.add(frozenset((k1, k2)))
+    gids = world.gids
+    facts.reachable.update(gids[i] for i in _bits(union))
+    facts.pairs.update(frozenset((gids[i], gids[j])) for i, j in index_pairs)
+    for vals in {s[1] for s in states}:
+        for name, value in zip(world.stored_vars, vals):
+            facts.var_values[name].add(value)
+    if masks:
+        for anchor, var in world.continuous:
+            facts.var_values[var].add(False)
+            if union & anchor:
+                facts.var_values[var].add(True)
+    for counts in {s[2] for s in states}:
+        for step, n in zip(world.tracked, counts):
+            facts.activations[step] = max(facts.activations.get(step, 0), n)
 
 
-def _record(world, active, varvals, facts, track):
-    live = [s for s, v in active.items() if v]
-    facts.reachable.update(live)
-    for a, b in combinations(sorted(live), 2):
-        facts.pairs.add(frozenset((a, b)))
-    for name, value in varvals.items():
-        facts.var_values[name].add(value)
-    for gid, action in world.continuous:
-        facts.var_values[action.var].add(False)
-        if active.get(gid, 0):
-            facts.var_values[action.var].add(True)
-    # Write-write conflicts: two distinct stored writers of one variable
-    # attached to co-active steps.
-    by_var: dict[str, list] = {}
-    for key, gid, action in world.stored:
-        if active.get(gid, 0):
-            by_var.setdefault(action.var, []).append(key)
-    for keys in by_var.values():
-        for k1, k2 in combinations(keys, 2):
-            facts.conflicts.add(frozenset((k1, k2)))
-    for step, n in track.items():
-        facts.activations[step] = max(facts.activations.get(step, 0), n)
-
-
-def _settle_hierarchy(world, prev_active, active, facts):
+def _settle_hierarchy(world, prev_active, active):
     """Apply enclosing activations/deactivations and forcing orders until
-    stable; returns (active, events) or (None, ...) when the iteration cap
-    is hit. Events are +-1 per step whose activity actually changed."""
-    events: list[tuple[str, int]] = []
-    for step in set(prev_active) | set(active):
-        delta = active.get(step, 0) - prev_active.get(step, 0)
-        if delta:
-            events.append((step, delta))
-    was_active = {s for s, v in prev_active.items() if v}
-    for _ in range(10 * (len(world.enclosings) + len(world.forcings) + 1)):
+    stable; returns (active, events), with active None when the iteration cap
+    is hit. Events are (step index, +-1) per change of a watched step's
+    activity: the fired changes in index order, then the hierarchy's in the
+    order applied."""
+    watched = world.watched
+    events = [(i, 1 if active >> i & 1 else -1)
+              for i in _bits((prev_active ^ active) & watched)]
+    if not world.enclosings and not world.forcings:
+        return active, events
+    was_active = prev_active
+    for _ in range(world.settle_rounds):
         changed = False
-        for anchor, _pid, target in world.enclosings:
-            now = active.get(anchor, 0) > 0
-            if now and anchor not in was_active:
-                was_active.add(anchor)
-                for m in target.marked:
-                    gid = f"{target.id}.{m}"
-                    if not active.get(gid, 0):
-                        active[gid] = 1
-                        events.append((gid, 1))
+        for anchor, marked, target in world.enclosings:
+            if active & anchor:
+                if not was_active & anchor:
+                    was_active |= anchor
+                    events += [(i, 1) for i in _bits(marked & ~active & watched)]
+                    active |= marked
+                    changed = True
+            elif was_active & anchor:
+                was_active &= ~anchor
+                events += [(i, -1) for i in _bits(active & target & watched)]
+                active &= ~target
                 changed = True
-            elif not now and anchor in was_active:
-                was_active.discard(anchor)
-                for s in target.steps:
-                    gid = f"{target.id}.{s}"
-                    if active.get(gid, 0):
-                        events.append((gid, -1))
-                        active[gid] = 0
-                changed = True
-        for anchor, forcing, target in world.forcings:
-            if active.get(anchor, 0) <= 0 or forcing.situation == "*":
-                if anchor in was_active and active.get(anchor, 0) <= 0:
-                    was_active.discard(anchor)
+        for anchor, wanted, target in world.forcings:
+            if not active & anchor or wanted is None:
+                if was_active & anchor and not active & anchor:
+                    was_active &= ~anchor
                     changed = True
                 continue
-            wanted = forcing.situation if isinstance(forcing.situation, frozenset) \
-                else target.initial
-            was_active.add(anchor)
-            for s in target.steps:
-                gid = f"{target.id}.{s}"
-                want = 1 if s in wanted else 0
-                have = active.get(gid, 0)
-                if have != want:
-                    events.append((gid, want - have))
-                    active[gid] = want
-                    changed = True
+            was_active |= anchor
+            forced = (active & ~target) | wanted
+            if forced != active:
+                events += [(i, 1 if forced >> i & 1 else -1)
+                           for i in _bits((forced ^ active) & watched)]
+                active = forced
+                changed = True
         if not changed:
             return active, events
-    facts.inconclusive = True
     return None, events
 
 
-def _frozen_partials(world, active) -> set[str]:
-    """Partials currently pinned by an active forcing order."""
-    frozen = set()
-    for anchor, forcing, target in world.forcings:
-        if active.get(anchor, 0):
-            frozen.add(target.id)
-    return frozen
-
-
-def _enabled(world, active, varvals, prev, inputs) -> list[tuple[PartialGrafcet, object]]:
-    frozen = _frozen_partials(world, active)
+def _enabled(world, active, vals, prev, inputs) -> list[tuple[int, int]]:
     out = []
-    for c, t in world.transitions:
-        if c.id in frozen:
+    for up, down, hold, wake, cond in world.transitions:
+        if active & up != up or active & hold or (wake and not active & wake):
             continue
-        if t.is_source:
-            # Source transitions of an inactive enclosed module stay silent.
-            if not c.initial and not any(active.get(g, 0)
-                                         for g in (f"{c.id}.{s}" for s in c.steps)) \
-                    and not _anchor_active(world, active, c.id):
-                continue
-        elif not all(active.get(f"{c.id}.{s}", 0) for s in t.upstream):
+        if cond is not None and not _eval_cond(world, cond, active, vals, prev, inputs):
             continue
-        if world.mode == "semantic" and t.condition is not None:
-            if not _eval_cond(world, t.condition, active, varvals, prev, inputs):
-                continue
-        out.append((c, t))
+        out.append((up, down))
     return out
 
 
-def _anchor_active(world, active, pid) -> bool:
-    for anchor, _p, target in world.enclosings:
-        if target.id == pid and active.get(anchor, 0):
-            return True
-    for anchor, forcing, target in world.forcings:
-        if target.id == pid and active.get(anchor, 0):
-            return True
-    return False
-
-
-def _eval_cond(world, cond, active, varvals, prev, inputs) -> bool:
-    prev_map = dict(prev or ())
+def _eval_cond(world, cond, active, vals, prev, inputs) -> bool:
+    prev_map = dict(zip(world.edge_operands, prev or ()))
 
     def lookup(ref):
         if isinstance(ref, StepRef):
-            return active.get(f"{ref.partial}.{ref.step}", 0) > 0
+            return active & world.bit.get(f"{ref.partial}.{ref.step}", 0) > 0
         if ref.name in inputs:
             return inputs[ref.name]
-        return varvals.get(ref.name, world.defaults.get(ref.name, 0))
+        if ref.name in world.stored_pos:
+            return vals[world.stored_pos[ref.name]]
+        return world.defaults.get(ref.name, 0)
 
     def prev_lookup(ref):
         key = f"{ref.partial}.{ref.step}" if isinstance(ref, StepRef) else ref.name
@@ -311,150 +346,103 @@ def _eval_cond(world, cond, active, varvals, prev, inputs) -> bool:
     return concrete_eval(cond, lookup, prev_lookup)
 
 
-def _successors(world, active, varvals, track, prev, value_cap,
-                activation_cap, facts):
-    input_choices = [{}]
-    if world.mode == "semantic":
-        names = world.bool_inputs
-        if len(names) > 6:
-            raise ValueError("too many Boolean inputs for semantic exploration")
-        input_choices = [dict(zip(names, bits))
-                         for bits in product((False, True), repeat=len(names))]
-    out = []
-    for inputs in input_choices:
-        enabled = _enabled(world, active, varvals, prev, inputs)
-        for subset in _firing_subsets(enabled, active):
-            new_active = dict(active)
+def _successors(world, active, vals, track, prev, value_cap, activation_cap, facts):
+    semantic = world.mode == "semantic"
+    for inputs in world.input_choices:
+        prev2 = _snapshot_prev(world, active, vals, inputs) if semantic else None
+        for up, down in _firing_subsets(_enabled(world, active, vals, prev, inputs)):
             # All upstream steps deactivate, then all downstream steps
             # activate; a step on both sides is maintained without events.
-            for c, t in subset:
-                for s in t.upstream:
-                    new_active[f"{c.id}.{s}"] = 0
-            for c, t in subset:
-                for s in t.downstream:
-                    new_active[f"{c.id}.{s}"] = 1
-            settled, events = _settle_hierarchy(world, active, new_active, facts)
+            settled, events = _settle_hierarchy(world, active, (active & ~up) | down)
             if settled is None:
+                facts.inconclusive = True
                 continue
-            track2 = dict(track)
-            overflow = False
-            for step, delta in events:
-                if delta > 0 and step in track2:
-                    track2[step] += 1
-                    if track2[step] > activation_cap:
-                        facts.inconclusive = True
-                        overflow = True
-            if overflow:
-                continue
-            prev2 = _snapshot_prev(world, active, varvals, inputs) \
-                if world.mode == "semantic" else None
-            for active3, vars3 in _run_triggers(world, settled, varvals, events,
-                                                value_cap, facts, prev,
-                                                inputs=inputs):
-                out.append((active3, vars3, track2, prev2))
-        if world.mode == "semantic":
+            track2 = track
+            if world.track_at:
+                counts = list(track)
+                overflow = False
+                for i, delta in events:
+                    if delta > 0 and i in world.track_at:
+                        n = world.track_at[i]
+                        counts[n] += 1
+                        overflow |= counts[n] > activation_cap
+                if overflow:
+                    facts.inconclusive = True
+                    continue
+                track2 = tuple(counts)
+            for vals2 in _run_triggers(world, settled, vals, events, value_cap, facts,
+                                       prev, inputs):
+                yield settled, vals2, track2, prev2
+        if semantic:
             # Stutter: a cycle in which no transition fires still records the
             # input valuation, so edge conditions can observe input changes.
-            out.append((dict(active), dict(varvals), dict(track),
-                        _snapshot_prev(world, active, varvals, inputs)))
-    return out
+            yield active, vals, track, prev2
 
 
-def _snapshot_prev(world, active, varvals, inputs):
-    snap = []
-    for name in world.edge_operands:
-        if "." in name:
-            snap.append((name, active.get(name, 0) > 0))
-        elif name in inputs:
-            snap.append((name, inputs[name]))
-        else:
-            snap.append((name, bool(varvals.get(name, 0))))
-    return tuple(snap)
+def _snapshot_prev(world, active, vals, inputs):
+    return tuple(
+        active & world.bit.get(name, 0) > 0 if "." in name
+        else inputs[name] if name in inputs
+        else name in world.stored_pos and bool(vals[world.stored_pos[name]])
+        for name in world.edge_operands)
 
 
-def _firing_subsets(enabled, active):
-    """All non-empty subsets of enabled transitions in which no two fired
-    transitions share an upstream step."""
+def _firing_subsets(enabled):
+    """(upstream, downstream) unions of the non-empty subsets of enabled
+    transitions in which no two fired transitions share an upstream step."""
     if len(enabled) > 10:
         # Fall back to single firings plus the full set.
         candidates = [[e] for e in enabled]
-        candidates.append(list(enabled))
+        candidates.append(enabled)
     else:
-        candidates = []
-        for r in range(1, len(enabled) + 1):
-            candidates.extend(list(s) for s in combinations(enabled, r))
+        candidates = (s for r in range(1, len(enabled) + 1)
+                      for s in combinations(enabled, r))
     for subset in candidates:
-        used = set()
-        ok = True
-        for c, t in subset:
-            for s in t.upstream:
-                gid = f"{c.id}.{s}"
-                if gid in used or not active.get(gid, 0):
-                    ok = False
-                    break
-                used.add(gid)
-            if not ok:
+        used = down = 0
+        for up, d in subset:
+            if used & up:
                 break
-        if ok:
-            yield subset
+            used |= up
+            down |= d
+        else:
+            yield used, down
 
 
-def _run_triggers(world, active, varvals, events, value_cap, facts, prev,
-                  inputs=None):
-    """Execute triggered stored actions in every subset and order.
+def _run_triggers(world, active, vals, events, value_cap, facts, prev, inputs):
+    """Execute triggered stored actions in every subset and order; returns the
+    distinct resulting valuations.
 
     'during' actions run once per activation, like activation triggers
     (without time, repeated execution inside one activation cannot be told
     apart). In structural mode every triggered action may also be skipped.
     """
-    triggered: list[tuple[ActionKey, StoredAction]] = []
-    for step, delta in events:
-        for key, gid, action in world.stored:
-            if gid != step:
-                continue
-            if delta > 0 and action.trigger in ("activation", "during"):
-                triggered.append((key, action))
-            elif delta < 0 and action.trigger == "deactivation":
-                triggered.append((key, action))
+    triggered = [action for i, delta in events
+                 for action in (world.on_activation if delta > 0
+                                else world.on_deactivation).get(i, ())]
     if not triggered:
-        return [(active, dict(varvals))]
+        return [vals]
 
     if world.mode == "semantic":
-        kept = []
-        for key, action in triggered:
-            if action.condition is None or _eval_cond(world, action.condition, active,
-                                                      varvals, prev, inputs or {}):
-                kept.append((key, action))
-        pools = [kept] if kept else []
-        if not pools:
-            return [(active, dict(varvals))]
+        kept = [a for a in triggered
+                if a[4] is None or _eval_cond(world, a[4], active, vals, prev, inputs)]
+        if not kept:
+            return [vals]
+        pools = [kept]
     else:
         # Conditions havocked: any subset of the triggered actions may run.
-        pools = []
-        for r in range(len(triggered) + 1):
-            pools.extend(list(s) for s in combinations(triggered, r))
+        pools = [s for r in range(len(triggered) + 1) for s in combinations(triggered, r)]
 
     results = {}
     for pool in pools:
-        orders = list(permutations(pool)) if len(pool) <= 4 else [tuple(pool),
-                                                                 tuple(reversed(pool))]
+        orders = permutations(pool) if len(pool) <= 4 else (pool, pool[::-1])
         for order in orders:
-            vals = dict(varvals)
-            ok = True
-            for _key, action in order:
-                if isinstance(action.value, bool):
-                    vals[action.var] = 1 if action.value else 0
-                else:
-                    new = sum(t.coeff * (vals.get(t.var, world.defaults.get(t.var, 0))
-                                         if t.var else 1)
-                              for t in action.value.terms)
-                    if abs(new) > value_cap:
-                        facts.inconclusive = True
-                        ok = False
-                        break
-                    vals[action.var] = new
-            if ok:
-                results[tuple(sorted(vals.items()))] = vals
-    if not results:
-        return [(active, dict(varvals))]
-    return [(active, vals) for vals in results.values()]
+            new = list(vals)
+            for pos, const, terms, capped, _cond in order:
+                value = const + sum(coeff * new[p] for coeff, p in terms)
+                if capped and abs(value) > value_cap:
+                    facts.inconclusive = True
+                    break
+                new[pos] = value
+            else:
+                results[tuple(new)] = None
+    return list(results) or [vals]

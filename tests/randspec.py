@@ -6,13 +6,13 @@ conserve step activity (single-upstream/single-downstream transitions,
 plus occasional balanced split/join pairs and sinks), so the explicit-state
 oracle usually terminates; a small fraction carries a source transition or
 an unbalanced split, which the oracle may report as inconclusive.
-Forcing orders are excluded: their timing needs hand-built cases rather
-than random ones.
+``random_spec`` leaves forcing orders out; ``random_forcing_spec`` adds one
+to a two-partial spec.
 """
 
 import random
 
-from grafcet_lint import parse_spec
+from grafcet_lint import parse_spec, serialize
 
 INT_VALUES = ("0", "1", "k + 1", "k - 1", "5")
 BOOL_VALUES = ("true", "false")
@@ -50,6 +50,20 @@ def random_spec(rng: random.Random):
         ],
         "partials": partials,
     }
+    return parse_spec(doc)
+
+
+def random_forcing_spec(rng: random.Random):
+    """A two-partial ``random_spec`` whose random step forces the other
+    partial into ``*``, ``init``, the empty situation or one of its steps."""
+    while len((spec := random_spec(rng)).partials) < 2:
+        pass
+    doc = serialize(spec)
+    source, target = rng.sample(doc["partials"], 2)
+    situation = rng.choice(("*", "init", [], [rng.choice(target["steps"])["id"]]))
+    source.setdefault("actions", []).append({
+        "kind": "forcing", "step": rng.choice(source["steps"])["id"],
+        "target": target["id"], "situation": situation})
     return parse_spec(doc)
 
 

@@ -349,6 +349,31 @@ def test_oracle_subcommand(corpus, capsys):
     assert "c.s5" in facts["reachable"]
     assert ["c.s3", "c.s4"] in facts["concurrent_pairs"]
     assert facts["var_values"]["k"] == [0, 1]
+    assert facts["states_seen"] > 0 and not facts["inconclusive"]
+
+    code, out, _ = _run(capsys, "oracle", str(corpus("fig5.grafcet.json")),
+                        "--max-states", "1")
+    assert code == 0
+    facts = json.loads(out)
+    assert facts["states_seen"] == 0 and facts["inconclusive"]
+
+
+@pytest.mark.parametrize("inputs, message", [
+    ([("n", "int")], "semantic mode does not support integer inputs"),
+    ([(f"x{i}", "bool") for i in range(7)],
+     "semantic mode supports at most 6 Boolean inputs, got 7"),
+], ids=["int-input", "7-bool-inputs"])
+def test_oracle_semantic_rejects_unenumerable_inputs(tmp_path, capsys, inputs, message):
+    path = tmp_path / "spec.grafcet.json"
+    path.write_text(json.dumps({
+        "name": "t",
+        "variables": [{"name": n, "kind": "input", "type": t} for n, t in inputs],
+        "partials": [{"id": "P", "steps": [{"id": "1", "initial": True}]}],
+    }))
+    code, out, err = _run(capsys, "oracle", str(path), "--mode", "semantic")
+    assert code == 2
+    assert out == ""
+    assert err == f"grafcet-lint: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

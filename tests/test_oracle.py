@@ -1,5 +1,12 @@
 """Explicit-state exploration oracle."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import grafcet_lint
 from grafcet_lint import parse_spec
 from grafcet_lint.oracle import _World, explore, explore_partial
 
@@ -176,3 +183,31 @@ def test_edge_operands_are_found_at_any_depth():
     })
     world = _World(spec, list(spec.partials), "semantic")
     assert world.edge_operands == ["G1.2", "b", "e"]
+
+
+def test_facts_do_not_depend_on_the_hash_seed(tmp_path):
+    # One firing triggers five stored actions, more than the oracle orders
+    # exhaustively, so the two orders it tries must not follow string hashing.
+    path = tmp_path / "fan-out.grafcet.json"
+    path.write_text(json.dumps({
+        "name": "fan-out",
+        "variables": [{"name": "k", "kind": "internal", "type": "int", "init": 1}],
+        "partials": [{
+            "id": "P",
+            "steps": [{"id": "s0", "initial": True}] + [{"id": f"a{i}"} for i in range(5)],
+            "transitions": [{"id": "t", "from": ["s0"], "to": [f"a{i}" for i in range(5)]}],
+            "actions": [{"kind": "stored", "step": f"a{i}", "var": "k", "value": value}
+                        for i, value in enumerate(("k + 1", "k + k", "k - 3", "0 - k",
+                                                   "k + k + k"))],
+        }],
+    }))
+    src = str(Path(grafcet_lint.__file__).parents[1])
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "grafcet_lint.cli", "oracle", str(path)],
+                              capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
