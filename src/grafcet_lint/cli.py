@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,6 +21,23 @@ EXIT_USAGE = 2
 
 
 def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else 0
+    try:
+        return args.func(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one.
+
+    ``parse_args`` returns a fresh namespace per call, and argparse sizes its
+    help output when it prints, so sharing one parser across calls is safe.
+    """
     parser = argparse.ArgumentParser(
         prog="grafcet-lint",
         description="Structural analyzer for GRAFCET control specifications.",
@@ -47,15 +65,7 @@ def main(argv=None) -> int:
     oracle.add_argument("--mode", choices=("structural", "semantic"), default="structural")
     oracle.add_argument("--max-states", type=int, default=100_000)
     oracle.set_defaults(func=_cmd_oracle)
-
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    return parser
 
 
 def _load(path: str):

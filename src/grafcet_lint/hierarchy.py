@@ -31,6 +31,7 @@ class HierarchyEdge:
 class HierarchyGraph:
     nodes: tuple[str, ...]
     edges: tuple[HierarchyEdge, ...]
+    order: tuple[str, ...]  # superiors before inferiors; ``nodes`` when there is a cycle
     cycle: tuple[str, ...] | None = None  # populated when not a partial order
 
     @property
@@ -39,12 +40,6 @@ class HierarchyGraph:
 
     def incoming(self, partial_id: str) -> tuple[HierarchyEdge, ...]:
         return tuple(e for e in self.edges if e.target == partial_id)
-
-    def topological_order(self) -> tuple[str, ...]:
-        sorter = TopologicalSorter({n: set() for n in self.nodes})
-        for e in self.edges:
-            sorter.add(e.target, e.source)
-        return tuple(sorter.static_order())
 
 
 @dataclass(frozen=True)
@@ -69,14 +64,16 @@ def build_hierarchy(spec: GrafcetSpec) -> tuple[HierarchyGraph, list[Finding]]:
             edges.append(HierarchyEdge(c.id, target, "enclosing", step))
         for a in c.forcings:
             edges.append(HierarchyEdge(c.id, a.target, "forcing", a.step, a.situation))
-    graph = HierarchyGraph(tuple(c.id for c in spec.partials), tuple(edges))
+    nodes = tuple(c.id for c in spec.partials)
+    sorter = TopologicalSorter(dict.fromkeys(nodes, ()))
+    for e in edges:
+        sorter.add(e.target, e.source)
 
     findings: list[Finding] = []
     try:
-        graph.topological_order()
+        order, cycle = tuple(sorter.static_order()), None
     except CycleError as exc:
-        cycle = tuple(exc.args[1])
-        graph = HierarchyGraph(graph.nodes, graph.edges, cycle=cycle)
+        order, cycle = nodes, tuple(exc.args[1])
         findings.append(
             finding(
                 "hierarchy-cycle", "error",
@@ -85,7 +82,7 @@ def build_hierarchy(spec: GrafcetSpec) -> tuple[HierarchyGraph, list[Finding]]:
                 cycle=cycle,
             )
         )
-    return graph, findings
+    return HierarchyGraph(nodes, tuple(edges), order, cycle), findings
 
 
 def initial_situations(spec: GrafcetSpec, graph: HierarchyGraph,

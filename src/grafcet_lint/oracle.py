@@ -78,7 +78,7 @@ class _World:
         def mask(c, steps):
             return sum(self.bit[f"{c.id}.{s}"] for s in steps)
 
-        self.enclosings: list[tuple[int, int, int]] = []  # (anchor, target marked, target)
+        enclosed: dict[int, tuple[int, int]] = {}  # anchor -> (targets' marked, targets)
         self.forcings: list[tuple[int, int | None, int]] = []  # (anchor, wanted or None, target)
         anchors = dict.fromkeys(pmap, 0)  # partial -> anchors of edges into it
         holds = dict.fromkeys(pmap, 0)  # partial -> anchors of forcing orders on it
@@ -102,8 +102,13 @@ class _World:
                 if target in pmap:
                     t = pmap[target]
                     anchor = self.bit[f"{c.id}.{step}"]
-                    self.enclosings.append((anchor, mask(t, t.marked), mask(t, t.steps)))
+                    marked, steps = enclosed.get(anchor, (0, 0))
+                    enclosed[anchor] = (marked | mask(t, t.marked), steps | mask(t, t.steps))
                     anchors[t.id] |= anchor
+        # One entry per anchor, so a step enclosing several partials
+        # activates and clears all of them at once.
+        self.enclosings = [(anchor, marked, steps)
+                           for anchor, (marked, steps) in enclosed.items()]
         self.settle_rounds = 10 * (len(self.enclosings) + len(self.forcings) + 1)
 
         # (upstream, downstream, hold, wake, condition): a transition is

@@ -206,12 +206,11 @@ def lift_concurrency(
         for p2 in roots[i + 1:]:
             connect(reach[p1], reach[p2])
 
-    order = graph.topological_order() if graph.is_partial_order else graph.nodes
     edges_by_source: dict[str, list] = {}
     for e in graph.edges:
         edges_by_source.setdefault(e.source, []).append(e)
 
-    for pid in order:
+    for pid in graph.order:
         edges = edges_by_source.get(pid, [])
         # Rule (b): sibling partials activated concurrently.
         for i, e1 in enumerate(edges):

@@ -1,5 +1,6 @@
 """Command-line interface: flags, report schema, exit codes, determinism."""
 
+import argparse
 import builtins
 import hashlib
 import io
@@ -383,6 +384,56 @@ def test_oracle_max_states_must_be_positive(corpus, capsys, value):
     assert code == 2
     assert out == ""
     assert err == "grafcet-lint: --max-states must be a positive integer\n"
+
+
+def _run_alone(capsys, *args):
+    """``_run`` on a freshly built parser, as in a process of its own."""
+    cli._parser.cache_clear()
+    return _run(capsys, *args)
+
+
+def test_parser_is_built_once_per_process(corpus, monkeypatch, capsys):
+    # argparse looks its own class up by name inside ``__init__``, so a
+    # subclass put in its place would recurse; count through ``__init__``.
+    built, real_init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    path = str(corpus("fig5.grafcet.json"))
+    for argv in (["analyze", path], ["analyze", path, "--format", "json"],
+                 ["analyze", path, "--format", "xml"], ["oracle", path],
+                 ["--help"], ["frobnicate"]) * 5:
+        _run(capsys, *argv)
+    # The subparsers are the only other parsers built.
+    assert built == ["grafcet-lint", "grafcet-lint analyze", "grafcet-lint oracle"]
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(corpus, capsys):
+    path = str(corpus("fig5.grafcet.json"))
+    calls = [("analyze", path, "--format", "xml"), ("--help",),
+             ("analyze", path, "--no-timings"), ("analyze", "--help"),
+             ("analyze", path, "--fail-on", "never"), ("analyze",),
+             ("analyze", path, "--format", "json", "--no-timings")]
+    alone = [_run_alone(capsys, *argv) for argv in calls]
+    in_sequence = [_run(capsys, *argv) for argv in calls]
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [2, 0, 0, 0, 2, 2, 0]
+    assert alone[0][2].startswith("usage: grafcet-lint analyze")
+    assert alone[1][1].startswith("usage: grafcet-lint")
+
+
+def test_flags_do_not_carry_over_to_the_next_call(corpus, capsys):
+    spec = str(corpus("g_rit.grafcet.json"))
+    plain = ("analyze", spec, "--format", "json", "--no-timings")
+    flagged = plain + ("--dump-invariants", "--queries",
+                       str(corpus("g_rit.queries.json")), "--naive")
+    fresh = _run_alone(capsys, *plain)
+    assert _run(capsys, *flagged) != fresh
+    assert _run(capsys, *plain) == fresh
 
 
 def _dumps(obj) -> str:

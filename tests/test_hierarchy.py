@@ -37,7 +37,7 @@ def test_g_rit_topology(load_fixture):
     assert findings == []
     targets = sorted(e.target for e in graph.edges if e.source == "G_RIT")
     assert targets == ["G10", "G20", "G30", "G40", "G50", "G60", "G70"]
-    order = graph.topological_order()
+    order = graph.order
     assert order.index("G_OM") < order.index("G_RIT") < order.index("G10")
     # Every station is entered through exactly one enclosing edge.
     for i in range(1, 8):

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import grafcet_lint
-from grafcet_lint import parse_spec
+from grafcet_lint import analyze_spec, parse_spec
 from grafcet_lint.oracle import _World, explore, explore_partial
 
 
@@ -79,6 +79,31 @@ def test_enclosing_activates_and_clears(load_fixture):
     assert {"G0.0", "G0.1", "G1.2", "G1.3"} <= facts.reachable
     assert frozenset({"G0.1", "G1.2"}) in facts.pairs
     assert frozenset({"G0.0", "G1.2"}) not in facts.pairs
+
+
+def test_anchor_enclosing_several_partials_activates_and_clears_all():
+    spec = parse_spec({
+        "name": "two-enclosings",
+        "partials": [
+            {"id": "A", "steps": [{"id": "1", "initial": True}, {"id": "2"}],
+             "transitions": [{"id": "t1", "from": ["1"], "to": ["2"]},
+                             {"id": "t2", "from": ["2"], "to": ["1"]}],
+             "enclosings": [{"step": "2", "target": "B"}, {"step": "2", "target": "C"}]},
+            {"id": "B", "steps": [{"id": "b", "marked": True}]},
+            {"id": "C", "steps": [{"id": "c", "marked": True}]},
+        ],
+    })
+    facts = explore(spec)
+    assert not facts.inconclusive
+    assert facts.reachable == {"A.1", "A.2", "B.b", "C.c"}
+    assert frozenset({"B.b", "C.c"}) in facts.pairs
+    # Leaving A.2 clears both enclosed partials.
+    assert frozenset({"A.1", "B.b"}) not in facts.pairs
+    assert frozenset({"A.1", "C.c"}) not in facts.pairs
+    result = analyze_spec(spec)
+    assert facts.reachable <= result.global_reachable
+    for a, b in map(sorted, facts.pairs):
+        assert b in result.global_concurrency.get(a, set())
 
 
 def test_forcing_pins_target(load_fixture):
