@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .conditions import BOTH, ONLY_FALSE, ONLY_TRUE, StepRef, TOP_INT, VarRef, abstract_eval, to_text, variables_read
 from .findings import Finding, finding, sort_findings
@@ -64,7 +63,7 @@ def detect_races(
 def _abstract_env(spec, var_approx, reachable):
     inputs = {d.name: d for d in spec.inputs}
 
-    def env(ref: Union[VarRef, StepRef]):
+    def env(ref: VarRef | StepRef):
         if isinstance(ref, StepRef):
             gid = spec.global_step(ref.partial, ref.step)
             return BOTH if gid in reachable else ONLY_FALSE

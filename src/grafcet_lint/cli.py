@@ -7,10 +7,10 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
 
 from . import __version__, checks, ingest
 from .findings import SEVERITIES
+from .invariants import incidence
 from .pipeline import AnalysisResult, analyze_spec
 
 REPORT_SCHEMA_VERSION = 1
@@ -119,7 +119,8 @@ def _query_data(sidecar, spec):
     if sidecar is None:
         return spec.queries
     try:
-        doc = json.loads(Path(sidecar).read_text(encoding="utf-8"))
+        with open(sidecar, encoding="utf-8") as f:
+            doc = json.load(f)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         print(f"grafcet-lint: cannot read queries {sidecar}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -165,8 +166,6 @@ def build_report(result: AnalysisResult, findings,
             "per_step_bound": {s: _num(b) for s, b in inv.per_step_bound.items()},
         }
         if dump_invariants:
-            from .invariants import incidence
-
             entry["incidence"] = incidence(c)
             entry["s_invariants"] = [
                 {s: y[i] for i, s in enumerate(c.steps) if y[i]} for y in inv.s_invariants

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Union
 
 __all__ = [
     "Arith",
@@ -124,10 +124,10 @@ class NaryOp:
 @dataclass(frozen=True)
 class Edge:
     kind: str  # 're' or 'fe'
-    operand: Union[VarRef, StepRef]
+    operand: VarRef | StepRef
 
 
-Condition = Union[BoolLit, VarRef, StepRef, Cmp, Not, NaryOp, Edge]
+Condition = BoolLit | VarRef | StepRef | Cmp | Not | NaryOp | Edge
 
 _CMP_OPS = ("<=", ">=", "<>", "=", "<", ">")
 
@@ -240,7 +240,7 @@ class _Parser:
             return self._to_ref(left.terms[0].var)
         raise CondParseError("expected a comparison operator", pos)
 
-    def _parse_boolref(self) -> Union[VarRef, StepRef]:
+    def _parse_boolref(self) -> VarRef | StepRef:
         kind, val, pos = self.cur
         if kind != "ident" or val in ("re", "fe", "true", "false"):
             raise CondParseError("expected a variable reference", pos)
@@ -248,7 +248,7 @@ class _Parser:
         return self._to_ref(val)
 
     @staticmethod
-    def _to_ref(name: str) -> Union[VarRef, StepRef]:
+    def _to_ref(name: str) -> VarRef | StepRef:
         if "." in name:
             if not name.startswith("X"):
                 raise CondParseError(f"dotted name {name!r} is not a step reference", 0)
@@ -331,7 +331,7 @@ def walk(cond: Condition) -> Iterator[Condition]:
 
 
 def typecheck(
-    expr: Union[Condition, Arith],
+    expr: Condition | Arith,
     types: Mapping[str, str],
     steps: "set[tuple[str, str]] | None" = None,
 ) -> None:
@@ -431,7 +431,7 @@ ONLY_TRUE = frozenset({True})
 ONLY_FALSE = frozenset({False})
 
 
-def abstract_eval(cond: Condition, env: Callable[[Union[VarRef, StepRef]], object]) -> frozenset:
+def abstract_eval(cond: Condition, env: Callable[[VarRef | StepRef], object]) -> frozenset:
     """Three-valued evaluation over abstract values.
 
     ``env`` maps a VarRef/StepRef to either a frozenset of bools (Boolean
@@ -517,8 +517,8 @@ def _compare_intervals(op: str, lo1, hi1, lo2, hi2) -> frozenset:
 
 def concrete_eval(
     cond: Condition,
-    lookup: Callable[[Union[VarRef, StepRef]], object],
-    prev: Callable[[Union[VarRef, StepRef]], object] | None = None,
+    lookup: Callable[[VarRef | StepRef], object],
+    prev: Callable[[VarRef | StepRef], object] | None = None,
 ) -> bool:
     """Concrete evaluation; ``prev`` supplies the previous-cycle value for edges."""
     if isinstance(cond, BoolLit):

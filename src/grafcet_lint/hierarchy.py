@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from typing import Union
 
 from .findings import Finding, finding
 from .model import GrafcetSpec
@@ -24,7 +23,7 @@ class HierarchyEdge:
     target: str
     kind: str  # "enclosing" | "forcing"
     step: str
-    situation: Union[frozenset[str], str, None] = None  # forcing only
+    situation: frozenset[str] | str | None = None  # forcing only
 
 
 @dataclass(frozen=True)

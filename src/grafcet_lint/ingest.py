@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
+import os
 
 from . import conditions
 from .conditions import INT_MAX, INT_MIN, CondParseError, parse_arith, parse_condition
@@ -51,10 +51,11 @@ class SpecSemanticError(SpecError):
         self.findings = findings
 
 
-def load_spec(path: str | Path) -> GrafcetSpec:
+def load_spec(path: str | os.PathLike) -> GrafcetSpec:
     """Read a spec file once; the result carries the sha256 of its bytes."""
-    path = Path(path)
-    return parse_spec(path.read_bytes(), source=str(path))
+    with open(path, "rb") as f:
+        data = f.read()
+    return parse_spec(data, source=os.fspath(path))
 
 
 def parse_spec(doc: str | bytes | dict, source: str = "<spec>") -> GrafcetSpec:

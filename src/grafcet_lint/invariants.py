@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import gcd
 from operator import add
 
@@ -25,7 +24,6 @@ from .model import PartialGrafcet
 __all__ = [
     "InvariantCapExceeded",
     "InvariantSet",
-    "brute_force_invariants",
     "classify_boundedness",
     "compute_invariants",
     "incidence",
@@ -113,21 +111,6 @@ def _minimal_support(vectors: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     # Canonical order: lexicographic by support, then by entries.
     out.sort(key=lambda v: (sorted(_support(v)), v))
     return out
-
-
-def brute_force_invariants(matrix: list[list[int]], max_entry: int = 6) -> list[tuple[int, ...]]:
-    """Exhaustive oracle: all minimal-support solutions with entries <= max_entry."""
-    nrows = len(matrix)
-    if nrows == 0:
-        return []
-    ncols = len(matrix[0])
-    solutions = []
-    for v in product(range(max_entry + 1), repeat=nrows):
-        if not any(v):
-            continue
-        if all(sum(v[i] * matrix[i][j] for i in range(nrows)) == 0 for j in range(ncols)):
-            solutions.append(_normalize(v))
-    return _minimal_support(set(solutions))
 
 
 @dataclass(frozen=True)

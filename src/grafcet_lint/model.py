@@ -3,14 +3,15 @@
 A specification is a set of partial Grafcets plus global variable
 declarations. Each partial Grafcet owns steps, transitions, actions and
 its hierarchy anchors (enclosing steps, forcing orders). Step identifiers
-are namespaced by partial Grafcet; a global step is written "partial.step".
+are namespaced by partial Grafcet; a global step is written "partial.step",
+and only ``GrafcetSpec.global_step`` writes it. Partial ids contain no ".",
+so the first "." of a global id ends its partial id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
 
 from .conditions import Arith, CondTypeError, Condition, typecheck
 from .findings import Finding, finding, sort_findings
@@ -62,7 +63,7 @@ class ContinuousAction:
 class StoredAction:
     step: str
     var: str  # internal or output variable
-    value: Union[Arith, bool]  # Arith for int variables, literal for bools
+    value: Arith | bool  # Arith for int variables, literal for bools
     trigger: str = "activation"  # activation | deactivation | during
     condition: Condition | None = None
 
@@ -71,10 +72,10 @@ class StoredAction:
 class ForcingAction:
     step: str
     target: str  # partial Grafcet forced by this order
-    situation: Union[frozenset[str], str]  # explicit step set, "*" or "init"
+    situation: frozenset[str] | str  # explicit step set, "*" or "init"
 
 
-Action = Union[ContinuousAction, StoredAction, ForcingAction]
+Action = ContinuousAction | StoredAction | ForcingAction
 
 TRIGGERS = ("activation", "deactivation", "during")
 
@@ -162,6 +163,8 @@ class GrafcetSpec:
         return {(c.id, s) for c in self.partials for s in c.steps}
 
     def global_step(self, partial_id: str, step: str) -> str:
+        """The global id of a step; distinct steps get distinct ids, because
+        validation keeps "." out of partial ids."""
         return f"{partial_id}.{step}"
 
 
@@ -199,6 +202,8 @@ def _check_partials(spec, err):
         if c.id in seen:
             err(f"duplicate partial Grafcet id {c.id!r}")
         seen.add(c.id)
+        if "." in c.id:
+            err(f"partial Grafcet id {c.id!r} must not contain '.'", partial=c.id)
         steps = c.step_set
         if len(c.steps) != len(steps):
             err("duplicate step ids", partial=c.id)

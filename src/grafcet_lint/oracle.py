@@ -9,7 +9,8 @@ a new activation event. In ``structural`` mode transition and action
 conditions are havocked (any Boolean outcome is possible), matching the
 relaxation the structural analysis performs; ``semantic`` mode evaluates
 them over enumerated Boolean input valuations with one-step history for
-edge events.
+edge events. Semantic mode refuses what it does not model: integer inputs,
+and conditions that read a continuously written output.
 
 Exploration both fires single transitions and simultaneous non-conflicting
 sets (no two fired transitions share an upstream step), unioning the
@@ -71,12 +72,27 @@ class _World:
                                  f"Boolean inputs, got {len(names)}")
             self.input_choices = [dict(zip(names, bits))
                                   for bits in product((False, True), repeat=len(names))]
-        self.gids = [f"{c.id}.{s}" for c in partials for s in c.steps]
-        self.bit = {gid: 1 << i for i, gid in enumerate(self.gids)}
+            conds = [t.condition for c in partials for t in c.transitions]
+            conds += [getattr(a, "condition", None) for c in partials for a in c.actions]
+            nodes = [node for cond in conds if cond is not None for node in walk(cond)]
+            # A continuous output holds while a writing step is active, which
+            # ``_value`` does not model; it would read the init value instead.
+            continuous = {a.var for c in spec.partials for a in c.actions
+                          if isinstance(a, ContinuousAction)}
+            for node in nodes:
+                if isinstance(node, VarRef) and node.name in continuous:
+                    raise ValueError("semantic mode does not support conditions on the "
+                                     f"continuously written output {node.name!r}")
+            # The operands whose previous value a state keeps, in walk order.
+            self.edge_operands = tuple(dict.fromkeys(
+                node.operand for node in nodes if isinstance(node, Edge)))
+        steps = [(c.id, s) for c in partials for s in c.steps]
+        self.gids = [spec.global_step(*step) for step in steps]
+        self.bit = {step: 1 << i for i, step in enumerate(steps)}  # (partial, step) -> bit
         pmap = {c.id: c for c in partials}
 
         def mask(c, steps):
-            return sum(self.bit[f"{c.id}.{s}"] for s in steps)
+            return sum(self.bit[c.id, s] for s in steps)
 
         enclosed: dict[int, tuple[int, int]] = {}  # anchor -> (targets' marked, targets)
         self.forcings: list[tuple[int, int | None, int]] = []  # (anchor, wanted or None, target)
@@ -86,7 +102,7 @@ class _World:
         self.continuous: list[tuple[int, str]] = []  # (step bit, output)
         for c in partials:
             for i, a in enumerate(c.actions):
-                anchor = self.bit[f"{c.id}.{a.step}"]
+                anchor = self.bit[c.id, a.step]
                 if isinstance(a, StoredAction):
                     stored.append(((c.id, i), anchor, a))
                 elif isinstance(a, ContinuousAction):
@@ -101,7 +117,7 @@ class _World:
             for step, target in c.enclosings:
                 if target in pmap:
                     t = pmap[target]
-                    anchor = self.bit[f"{c.id}.{step}"]
+                    anchor = self.bit[c.id, step]
                     marked, steps = enclosed.get(anchor, (0, 0))
                     enclosed[anchor] = (marked | mask(t, t.marked), steps | mask(t, t.steps))
                     anchors[t.id] |= anchor
@@ -155,22 +171,12 @@ class _World:
         # Tracked steps count their activations; a tracked name that is not
         # a step of the world keeps the count 0.
         self.tracked = list(dict.fromkeys(track_activations))
-        self.track_at = {self.bit[gid].bit_length() - 1: n
-                         for n, gid in enumerate(self.tracked) if gid in self.bit}
+        index = {gid: i for i, gid in enumerate(self.gids)}
+        self.track_at = {index[gid]: n for n, gid in enumerate(self.tracked) if gid in index}
         # Only changes of these steps are events: they trigger stored actions
         # or count activations.
         self.watched = sum(1 << i for i in {*self.on_activation, *self.on_deactivation,
                                              *self.track_at})
-
-        if mode == "semantic":
-            conds = [t.condition for c in partials for t in c.transitions]
-            conds += [getattr(a, "condition", None) for c in partials for a in c.actions]
-            self.edge_operands = sorted({
-                node.operand.name if isinstance(node.operand, VarRef) else
-                f"{node.operand.partial}.{node.operand.step}"
-                for cond in conds if cond is not None
-                for node in walk(cond) if isinstance(node, Edge)
-            })
 
 
 def explore(
@@ -213,7 +219,7 @@ def _explore(spec, partials, initial_override, mode, max_states,
         entry = [(partials[0].id, s) for s in initial_override]
     else:
         entry = [(c.id, s) for c in partials for s in c.initial]
-    active, events = _settle_hierarchy(world, 0, sum(world.bit[f"{p}.{s}"] for p, s in entry))
+    active, events = _settle_hierarchy(world, 0, sum(world.bit[step] for step in entry))
     if active is None:
         facts.inconclusive = True
         return facts
@@ -332,29 +338,34 @@ def _enabled(world, active, vals, prev, inputs) -> list[tuple[int, int]]:
     return out
 
 
+def _value(world, ref, active, vals, inputs):
+    """The value of a variable or step reference in a state under one input
+    valuation. A variable no stored action writes keeps its init value; an
+    input outside any valuation (the initial situation's triggers) reads 0."""
+    if isinstance(ref, StepRef):
+        return active & world.bit.get((ref.partial, ref.step), 0) > 0
+    if ref.name in inputs:
+        return inputs[ref.name]
+    if ref.name in world.stored_pos:
+        return vals[world.stored_pos[ref.name]]
+    return world.defaults.get(ref.name, 0)
+
+
 def _eval_cond(world, cond, active, vals, prev, inputs) -> bool:
-    prev_map = dict(zip(world.edge_operands, prev or ()))
+    """``prev`` holds the edge operands' values one cycle earlier; without it
+    (the initial state) every edge operand reads its current value."""
+    def now(ref):
+        return _value(world, ref, active, vals, inputs)
 
-    def lookup(ref):
-        if isinstance(ref, StepRef):
-            return active & world.bit.get(f"{ref.partial}.{ref.step}", 0) > 0
-        if ref.name in inputs:
-            return inputs[ref.name]
-        if ref.name in world.stored_pos:
-            return vals[world.stored_pos[ref.name]]
-        return world.defaults.get(ref.name, 0)
-
-    def prev_lookup(ref):
-        key = f"{ref.partial}.{ref.step}" if isinstance(ref, StepRef) else ref.name
-        return prev_map.get(key, lookup(ref))
-
-    return concrete_eval(cond, lookup, prev_lookup)
+    before = now if prev is None else dict(zip(world.edge_operands, prev)).__getitem__
+    return concrete_eval(cond, now, before)
 
 
 def _successors(world, active, vals, track, prev, value_cap, activation_cap, facts):
     semantic = world.mode == "semantic"
     for inputs in world.input_choices:
-        prev2 = _snapshot_prev(world, active, vals, inputs) if semantic else None
+        prev2 = tuple(_value(world, ref, active, vals, inputs)
+                      for ref in world.edge_operands) if semantic else None
         for up, down in _firing_subsets(_enabled(world, active, vals, prev, inputs)):
             # All upstream steps deactivate, then all downstream steps
             # activate; a step on both sides is maintained without events.
@@ -382,14 +393,6 @@ def _successors(world, active, vals, track, prev, value_cap, activation_cap, fac
             # Stutter: a cycle in which no transition fires still records the
             # input valuation, so edge conditions can observe input changes.
             yield active, vals, track, prev2
-
-
-def _snapshot_prev(world, active, vals, inputs):
-    return tuple(
-        active & world.bit.get(name, 0) > 0 if "." in name
-        else inputs[name] if name in inputs
-        else name in world.stored_pos and bool(vals[world.stored_pos[name]])
-        for name in world.edge_operands)
 
 
 def _firing_subsets(enabled):

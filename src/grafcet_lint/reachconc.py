@@ -17,7 +17,6 @@ whose set grew; only their downstream transitions are re-enqueued.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -74,14 +73,15 @@ def reach_analysis(
     c: PartialGrafcet,
     initial: frozenset[str],
     source_seed: frozenset[str] = frozenset(),
-    rng: random.Random | None = None,
+    rng=None,
 ) -> tuple[set[str], dict[str, set[str]]]:
     """One worklist pass; returns (S^R, concurrency sets).
 
     ``source_seed`` is the set the downstream steps of source transitions
     start out concurrent to, and the set used in place of the intersection
-    term when such a transition fires. ``rng``, when given, randomizes the
-    worklist order; the fixpoint is confluent so the result is unchanged.
+    term when such a transition fires. ``rng``, a ``random.Random`` when
+    given, randomizes the worklist order; the fixpoint is confluent so the
+    result is unchanged.
     """
     conc = init_concurrency(c, initial)
     for t in c.source_transitions:
@@ -134,7 +134,7 @@ def reach_analysis(
 def analyze_partial(
     c: PartialGrafcet,
     situation: InitialSituation,
-    rng: random.Random | None = None,
+    rng=None,
 ) -> ReachConcResult:
     """Full analysis for one initial situation, including the source pass."""
     reachable, conc = reach_analysis(c, situation.steps, rng=rng)

@@ -13,11 +13,12 @@ import time
 
 from grafcet_lint import analyze_spec, load_spec
 from grafcet_lint.cli import main
-from grafcet_lint.invariants import brute_force_invariants, minimal_invariants
-from grafcet_lint.oracle import explore
+from grafcet_lint.invariants import minimal_invariants
+from grafcet_lint.oracle import explore, explore_partial
 from grafcet_lint.reachconc import analyze_partial
 from grafcet_lint.hierarchy import InitialSituation
 from conftest import corpus_path
+from invariant_oracle import brute_force_invariants
 from randspec import random_forcing_spec, random_spec
 
 
@@ -176,6 +177,31 @@ def test_criterion_5_random_soundness():
 
     rate = inconclusive / total
     print(f"  {total} random specs, {inconclusive} inconclusive ({rate:.1%})")
+    assert rate <= 0.10, f"too many inconclusive runs: {rate:.1%}"
+
+
+def test_situations_sound_against_oracle():
+    # Each entry situation's reachable steps and pairs, as the report lists
+    # them, must contain what the oracle finds from that situation alone.
+    rng = random.Random(7)
+    total, inconclusive = 0, 0
+    for n in range(600):
+        spec = random_forcing_spec(rng) if n % 3 == 2 else random_spec(rng)
+        for pid, results in analyze_spec(spec).results.items():
+            gid = {s: spec.global_step(pid, s) for s in spec.partial_map[pid].steps}
+            for r in results:
+                total += 1
+                facts = explore_partial(spec, pid, r.situation.steps, max_states=8000)
+                if facts.inconclusive:
+                    inconclusive += 1
+                    continue
+                where = (n, pid, r.situation.label)
+                assert facts.reachable <= {gid[s] for s in r.reachable}, where
+                assert facts.pairs <= {frozenset((gid[a], gid[b]))
+                                       for a, partners in r.concurrency.items()
+                                       for b in partners}, where
+    rate = inconclusive / total
+    print(f"  {total} situations, {inconclusive} inconclusive ({rate:.1%})")
     assert rate <= 0.10, f"too many inconclusive runs: {rate:.1%}"
 
 

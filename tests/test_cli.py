@@ -359,18 +359,29 @@ def test_oracle_subcommand(corpus, capsys):
     assert facts["states_seen"] == 0 and facts["inconclusive"]
 
 
-@pytest.mark.parametrize("inputs, message", [
-    ([("n", "int")], "semantic mode does not support integer inputs"),
-    ([(f"x{i}", "bool") for i in range(7)],
+_ONE_STEP = {"id": "P", "steps": [{"id": "1", "initial": True}]}
+# ``lamp`` holds whenever P.1 is active, so t1 can fire; the semantic oracle
+# would read the output's init value instead.
+_READS_CONTINUOUS = {
+    "id": "P",
+    "steps": [{"id": "1", "initial": True}, {"id": "2"}],
+    "transitions": [{"id": "t1", "from": ["1"], "to": ["2"], "cond": "lamp"}],
+    "actions": [{"kind": "continuous", "step": "1", "var": "lamp"}],
+}
+
+
+@pytest.mark.parametrize("variables, partial, message", [
+    ([{"name": "n", "kind": "input", "type": "int"}], _ONE_STEP,
+     "semantic mode does not support integer inputs"),
+    ([{"name": f"x{i}", "kind": "input", "type": "bool"} for i in range(7)], _ONE_STEP,
      "semantic mode supports at most 6 Boolean inputs, got 7"),
-], ids=["int-input", "7-bool-inputs"])
-def test_oracle_semantic_rejects_unenumerable_inputs(tmp_path, capsys, inputs, message):
+    ([{"name": "lamp", "kind": "output", "type": "bool", "init": 0}], _READS_CONTINUOUS,
+     "semantic mode does not support conditions on the continuously written output 'lamp'"),
+], ids=["int-input", "7-bool-inputs", "continuous-output"])
+def test_oracle_semantic_rejects_unenumerable_inputs(tmp_path, capsys, variables, partial,
+                                                     message):
     path = tmp_path / "spec.grafcet.json"
-    path.write_text(json.dumps({
-        "name": "t",
-        "variables": [{"name": n, "kind": "input", "type": t} for n, t in inputs],
-        "partials": [{"id": "P", "steps": [{"id": "1", "initial": True}]}],
-    }))
+    path.write_text(json.dumps({"name": "t", "variables": variables, "partials": [partial]}))
     code, out, err = _run(capsys, "oracle", str(path), "--mode", "semantic")
     assert code == 2
     assert out == ""
@@ -390,6 +401,19 @@ def _run_alone(capsys, *args):
     """``_run`` on a freshly built parser, as in a process of its own."""
     cli._parser.cache_clear()
     return _run(capsys, *args)
+
+
+def test_cli_import_leaves_out_unused_modules():
+    # A CI job starts one interpreter per spec, so every module the import
+    # pulls in is paid on each run. ``-S`` keeps site-packages' own imports
+    # out of the measurement.
+    src = str(Path(grafcet_lint.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import grafcet_lint.cli; "
+            "print(sorted({'typing', 'pathlib', 'random', 'grafcet_lint.oracle'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n", proc.stdout
 
 
 def test_parser_is_built_once_per_process(corpus, monkeypatch, capsys):

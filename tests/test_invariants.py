@@ -4,11 +4,11 @@ import math
 import random
 
 import pytest
+from invariant_oracle import brute_force_invariants
 
 from grafcet_lint.invariants import (
     InvariantCapExceeded,
     InvariantSet,
-    brute_force_invariants,
     classify_boundedness,
     compute_invariants,
     incidence,

@@ -64,6 +64,31 @@ def test_duplicate_partial_and_step_ids():
     assert any("duplicate step" in m for m in _errors(doc))
 
 
+def test_partial_id_must_not_contain_a_dot():
+    # A.b.c would name both A's step b.c and A.b's step c, two steps that
+    # are never active together; a shared id made them look like a race.
+    doc = {
+        "name": "t",
+        "variables": [{"name": "k", "kind": "internal", "type": "bool", "init": 0}],
+        "partials": [
+            {"id": "A", "steps": [{"id": "s", "initial": True}, {"id": "b.c"}],
+             "transitions": [{"id": "t1", "from": ["s"], "to": ["b.c"]}],
+             "enclosings": [{"step": "s", "target": "A.b"}],
+             "actions": [{"kind": "stored", "step": "b.c", "var": "k", "value": "true"}]},
+            {"id": "A.b", "steps": [{"id": "c", "marked": True}],
+             "actions": [{"kind": "stored", "step": "c", "var": "k", "value": "false"}]},
+        ],
+    }
+    with pytest.raises(SpecSemanticError) as exc:
+        parse_spec(doc)
+    assert [(f.kind, f.partial, f.message) for f in exc.value.findings] == [
+        ("model-error", "A.b", "partial Grafcet id 'A.b' must not contain '.'")]
+    # Step ids may keep their dots.
+    doc["partials"][1]["id"] = "Ab"
+    doc["partials"][0]["enclosings"][0]["target"] = "Ab"
+    assert validate(parse_spec(doc)) == []
+
+
 def test_enclosing_rules():
     doc = _base()
     doc["partials"][0]["enclosings"] = [{"step": "zz", "target": "Q"}]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import grafcet_lint
 from grafcet_lint import analyze_spec, parse_spec
+from grafcet_lint.conditions import StepRef, VarRef
 from grafcet_lint.oracle import _World, explore, explore_partial
 
 
@@ -168,6 +169,22 @@ def test_semantic_mode_edges():
     assert "P.2" in facts.reachable
 
 
+def test_semantic_edge_on_an_unwritten_variable_never_fires():
+    # No action writes k, so it keeps its init value 1 in every cycle and
+    # re(k) never holds, as the analysis's unsat-condition finding says.
+    spec = parse_spec({
+        "name": "t",
+        "variables": [{"name": "k", "kind": "internal", "type": "bool", "init": 1}],
+        "partials": [{
+            "id": "P",
+            "steps": [{"id": "1", "initial": True}, {"id": "2"}],
+            "transitions": [{"id": "t1", "from": ["1"], "to": ["2"], "cond": "re(k)"}],
+        }],
+    })
+    assert explore(spec, mode="semantic").reachable == {"P.1"}
+    assert [f.kind for f in analyze_spec(spec).findings] == ["unsat-condition"]
+
+
 def test_semantic_mode_rejects_int_inputs():
     spec = parse_spec({
         "name": "t",
@@ -207,7 +224,7 @@ def test_edge_operands_are_found_at_any_depth():
         }],
     })
     world = _World(spec, list(spec.partials), "semantic")
-    assert world.edge_operands == ["G1.2", "b", "e"]
+    assert world.edge_operands == (VarRef("b"), StepRef("G1", "2"), VarRef("e"))
 
 
 def test_facts_do_not_depend_on_the_hash_seed(tmp_path):
