@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .conditions import BOTH, ONLY_FALSE, ONLY_TRUE, StepRef, TOP_INT, VarRef, abstract_eval, to_text, variables_read
 from .findings import Finding, finding, sort_findings
 from .model import ContinuousAction, GrafcetSpec, StoredAction
+from .reachconc import concurrent
 from .varapprox import ExecutionBound, VarApprox
 
 __all__ = [
@@ -24,7 +25,7 @@ __all__ = [
 
 def detect_races(
     spec: GrafcetSpec,
-    global_conc: dict[str, set[str]],
+    global_conc: dict[str, list[str]],
     reachable: set[str],
 ) -> list[Finding]:
     """Stored writes of one variable from (potentially) concurrent steps.
@@ -45,7 +46,7 @@ def detect_races(
                 g2 = spec.global_step(p2, a2.step)
                 if g1 not in reachable or g2 not in reachable:
                     continue
-                if g1 == g2 or g2 in global_conc.get(g1, ()):
+                if g1 == g2 or concurrent(global_conc, g1, g2):
                     out.append(
                         finding(
                             "race", "error",
@@ -186,7 +187,7 @@ def parse_queries(data: list[dict]) -> list[SafetyQuery]:
 
 def run_queries(
     spec: GrafcetSpec,
-    global_conc: dict[str, set[str]],
+    global_conc: dict[str, list[str]],
     reachable: set[str],
     var_approx: dict[str, VarApprox],
     queries: list[SafetyQuery],
@@ -206,7 +207,7 @@ def run_queries(
             for g in (a, b):
                 if g not in global_steps:
                     raise ValueError(f"query {q.name!r}: unknown step {g!r}")
-            if b in global_conc.get(a, ()):
+            if concurrent(global_conc, a, b):
                 out.append(
                     finding("query-violation", "error",
                             f"query {q.name!r}: steps {a} and {b} can be concurrent",
@@ -238,7 +239,7 @@ def _coactive(spec, global_conc, reachable, var_approx, q: SafetyQuery, naive: b
                       "are both possible values (value-set approximation)")
     for ga in [None] if steps_a is None else steps_a:
         for gb in [None] if steps_b is None else steps_b:
-            if None in (ga, gb) or ga == gb or gb in global_conc.get(ga, ()):
+            if None in (ga, gb) or ga == gb or concurrent(global_conc, ga, gb):
                 return True, (f"{var_a}={str(lit_a).lower()} ({_when(ga)}) and "
                               f"{var_b}={str(lit_b).lower()} ({_when(gb)}) can hold "
                               "simultaneously")

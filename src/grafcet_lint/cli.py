@@ -180,9 +180,7 @@ def build_report(result: AnalysisResult, findings,
                                   "reasons": list(b.reasons)}
         for (pid, idx), b in result.bounds.items()
     }
-    report["global_concurrency"] = {
-        s: sorted(v) for s, v in result.global_concurrency.items()
-    }
+    report["global_concurrency"] = result.global_concurrency
     if timings:
         report["timings_ms"] = {k: round(v * 1000, 3) for k, v in result.timings.items()}
     return report
@@ -196,8 +194,9 @@ def _write_json(obj, write, indent="\n") -> None:
     """Stream ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` would print it.
 
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent`` is
-    set; here every string list, the bulk of a report, is escaped and joined
-    in C, and the parts go straight to ``write`` rather than into one string.
+    set; here every string list, the bulk of a report, is escaped once as a
+    whole and joined in C, and the parts go straight to ``write`` rather than
+    into one string.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -217,13 +216,20 @@ def _write_json(obj, write, indent="\n") -> None:
         inner = indent + "  "
         write("[" + inner)
         try:
-            write(("," + inner).join(map(_escape, obj)))
+            joined = "".join(obj)
         except TypeError:  # not a list of strings
             sep = ""
             for item in obj:
                 write(sep)
                 _write_json(item, write, inner)
                 sep = "," + inner
+        else:
+            # Escaping only lengthens, so an unchanged length means no item
+            # needs it, and the items are quoted as they are.
+            if len(_escape(joined)) == len(joined) + 2:
+                write('"' + ('",' + inner + '"').join(obj) + '"')
+            else:
+                write(("," + inner).join(map(_escape, obj)))
         write(indent + "]")
     elif isinstance(obj, str):
         write(_escape(obj))

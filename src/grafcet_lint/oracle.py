@@ -63,6 +63,7 @@ class _World:
                  track_activations: tuple[str, ...] = ()):
         self.mode = mode
         self.input_choices = [{}]
+        self.edge_operands = ()
         if mode == "semantic":
             if any(d.type == "int" for d in spec.inputs):
                 raise ValueError("semantic mode does not support integer inputs")
@@ -230,14 +231,19 @@ def _explore(spec, partials, initial_override, mode, max_states,
 
     # A state is (active mask, stored values, activation counts, previous
     # edge-operand values); it is also its own seen-set key.
+    # The initial state has no edge history (None); without edge operands
+    # semantic mode keeps the empty history () every successor carries, so
+    # the initial configuration is one state, not two.
+    history = () if mode == "semantic" and not world.edge_operands else None
     seen = set()
     frontier = deque()
-    for vals in _run_triggers(world, active, world.initial_vals, events, value_cap,
-                              facts, None, {}):
-        state = (active, vals, tuple(counts), None)
-        if state not in seen:
-            seen.add(state)
-            frontier.append(state)
+    for inputs in world.input_choices:
+        for vals in _run_triggers(world, active, world.initial_vals, events, value_cap,
+                                  facts, None, inputs):
+            state = (active, vals, tuple(counts), history)
+            if state not in seen:
+                seen.add(state)
+                frontier.append(state)
     while frontier:
         for state in _successors(world, *frontier.popleft(), value_cap,
                                  activation_cap, facts):
@@ -340,15 +346,16 @@ def _enabled(world, active, vals, prev, inputs) -> list[tuple[int, int]]:
 
 def _value(world, ref, active, vals, inputs):
     """The value of a variable or step reference in a state under one input
-    valuation. A variable no stored action writes keeps its init value; an
-    input outside any valuation (the initial situation's triggers) reads 0."""
+    valuation, which covers every Boolean input (the initial situation's
+    triggers too run under each). A variable no stored action writes keeps
+    its init value."""
     if isinstance(ref, StepRef):
         return active & world.bit.get((ref.partial, ref.step), 0) > 0
     if ref.name in inputs:
         return inputs[ref.name]
     if ref.name in world.stored_pos:
         return vals[world.stored_pos[ref.name]]
-    return world.defaults.get(ref.name, 0)
+    return world.defaults[ref.name]
 
 
 def _eval_cond(world, cond, active, vals, prev, inputs) -> bool:

@@ -24,7 +24,7 @@ class AnalysisResult:
     reachable_by_partial: dict[str, frozenset[str]]
     conc_by_partial: dict[str, dict[str, frozenset[str]]]
     global_reachable: set[str]
-    global_concurrency: dict[str, set[str]]
+    global_concurrency: dict[str, list[str]]  # sorted partners
     invariants: dict[str, InvariantSet]
     bounds: dict[tuple[str, int], ExecutionBound]
     variables: dict[str, VarApprox]

@@ -13,12 +13,18 @@ adds to those steps' concurrency sets before its worklist starts.
 
 Every fact is added one set at a time by ``grow``, which returns the steps
 whose set grew; only their downstream transitions are re-enqueued.
+
+``lift_concurrency`` lifts the per-partial results to one global relation
+over "partial.step" ids. It works on ``int`` bitsets over the sorted ids and
+returns each step's partners as a sorted list, which ``concurrent`` searches.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .hierarchy import HierarchyGraph, InitialSituation
 from .model import GrafcetSpec, PartialGrafcet
@@ -26,10 +32,15 @@ from .model import GrafcetSpec, PartialGrafcet
 __all__ = [
     "ReachConcResult",
     "analyze_partial",
+    "concurrent",
     "init_concurrency",
     "lift_concurrency",
     "reach_analysis",
 ]
+
+# Maps the digits of ``format(mask, "b")`` to a falsy and a truthy byte, the
+# selectors ``itertools.compress`` reads.
+_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,7 @@ def lift_concurrency(
     graph: HierarchyGraph,
     reachable_by_partial: dict[str, frozenset[str]],
     conc_by_partial: dict[str, dict[str, frozenset[str]]],
-) -> dict[str, set[str]]:
+) -> dict[str, list[str]]:
     """Global concurrency relation over "partial.step" identifiers.
 
     Rules, applied in topological order of the hierarchy DAG:
@@ -179,32 +190,52 @@ def lift_concurrency(
           its activating step and with everything concurrent to it.
     Partials with their own initial steps are all active from the start, so
     their reachable steps are additionally pairwise concurrent.
-    No step is paired with itself, and only steps with a partner are keys.
+
+    Returns each step's partners as a sorted list; no step is paired with
+    itself, and only steps with a partner are keys.
+
+    The pairs are kept as ``int`` bitsets over the sorted global ids: id
+    ``i`` of ``n`` is bit ``n - 1 - i``, so ``format(mask, f"0{n}b")`` spells
+    a mask in id order and ``itertools.compress`` turns it into a sorted list
+    in C. A partial id holds no ".", so the prefix "P." belongs to the steps
+    of P alone: one partial's steps are contiguous in this order, and its
+    reachable mask lies in one run of bits. A product with a whole partial (roots, rule
+    (b), the activated side of rule (c)) is one OR into that partial's
+    ``whole`` mask, which holds for each of its reachable steps; reading a
+    step's partners ORs it in.
     """
     gid = {c.id: {s: spec.global_step(c.id, s) for s in c.steps} for c in spec.partials}
-    reach = {pid: {gid[pid][s] for s in steps} for pid, steps in reachable_by_partial.items()}
-    relation: dict[str, set[str]] = {}
+    names = sorted(g for ids in gid.values() for g in ids.values())
+    n = len(names)
+    pos = {g: i for i, g in enumerate(names)}
+    bit = {pid: {s: 1 << (n - 1 - pos[g]) for s, g in ids.items()} for pid, ids in gid.items()}
+    reach = {pid: sum(map(bit[pid].__getitem__, steps))
+             for pid, steps in reachable_by_partial.items()}
+    row = dict.fromkeys(names, 0)  # partners recorded step by step
+    whole = dict.fromkeys(reach, 0)  # partners of every reachable step of a partial
 
-    def connect(group_a: set[str], group_b: set[str]) -> None:
-        # Pair every step of one group with every other step of the other.
-        for xs, ys in ((group_a, group_b), (group_b, group_a)):
-            for x in xs:
-                if len(ys) > (x in ys):
-                    partners = relation.setdefault(x, set())
-                    partners |= ys
-                    partners.discard(x)
+    spelling = f"0{n}b"
+
+    def select(mask: int) -> bytes:
+        # One byte per id, truthy where the id is in the mask.
+        return format(mask, spelling).encode().translate(_SELECT)
+
+    def partners(pid: str, s: str) -> int:
+        mask = row[gid[pid][s]]
+        if s in reachable_by_partial[pid]:
+            mask |= whole[pid]
+        return mask & ~bit[pid][s]
 
     for pid, conc in conc_by_partial.items():
-        ids = gid[pid]
+        ids, to_bit = gid[pid], bit[pid].__getitem__
         for s, others in conc.items():
-            if others:
-                relation.setdefault(ids[s], set()).update(ids[s2] for s2 in others)
+            row[ids[s]] |= sum(map(to_bit, others))
 
     # Initially active root partials all run concurrently from the start.
     roots = [c.id for c in spec.partials if c.initial]
-    for i, p1 in enumerate(roots):
-        for p2 in roots[i + 1:]:
-            connect(reach[p1], reach[p2])
+    active = sum(reach[pid] for pid in roots)
+    for pid in roots:
+        whole[pid] |= active & ~reach[pid]
 
     edges_by_source: dict[str, list] = {}
     for e in graph.edges:
@@ -214,14 +245,35 @@ def lift_concurrency(
         edges = edges_by_source.get(pid, [])
         # Rule (b): sibling partials activated concurrently.
         for i, e1 in enumerate(edges):
-            g1 = gid[pid][e1.step]
             for e2 in edges[i + 1:]:
                 if e1.target != e2.target and (
-                        e1.step == e2.step or gid[pid][e2.step] in relation.get(g1, ())):
-                    connect(reach[e1.target], reach[e2.target])
+                        e1.step == e2.step or partners(pid, e1.step) & bit[pid][e2.step]):
+                    whole[e1.target] |= reach[e2.target]
+                    whole[e2.target] |= reach[e1.target]
         # Rule (c): activated steps are concurrent with the activating step
         # and with everything concurrent to it (read before adding the edge).
         for e in edges:
-            anchor = gid[pid][e.step]
-            connect(reach[e.target], relation.get(anchor, set()) | {anchor})
+            near = partners(pid, e.step) | bit[pid][e.step]
+            whole[e.target] |= near
+            if reach[e.target]:
+                for g in compress(names, select(near)):
+                    row[g] |= reach[e.target]
+
+    for pid, steps in reachable_by_partial.items():
+        ids = gid[pid]
+        for s in steps:
+            row[ids[s]] |= whole[pid]
+    relation = {}
+    for i, g in enumerate(names):
+        mask = row[g] & ~(1 << (n - 1 - i))
+        if mask:
+            relation[g] = list(compress(names, select(mask)))
     return relation
+
+
+def concurrent(relation: dict[str, list[str]], a: str, b: str) -> bool:
+    """Whether steps ``a`` and ``b`` are paired in a relation from
+    ``lift_concurrency``: a binary search of ``a``'s sorted partners."""
+    partners = relation.get(a, ())
+    i = bisect_left(partners, b)
+    return i < len(partners) and partners[i] == b

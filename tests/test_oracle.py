@@ -253,3 +253,44 @@ def test_facts_do_not_depend_on_the_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1, outputs
+
+
+def test_initial_triggers_see_every_input_valuation():
+    # The initial step stores f := true when x holds, and x may hold from the
+    # first cycle on, so f takes both values, as the analysis says.
+    spec = parse_spec({
+        "name": "t",
+        "variables": [{"name": "x", "kind": "input", "type": "bool"},
+                      {"name": "f", "kind": "internal", "type": "bool", "init": 0}],
+        "partials": [{
+            "id": "P",
+            "steps": [{"id": "1", "initial": True}],
+            "actions": [{"kind": "stored", "step": "1", "var": "f", "value": "true",
+                         "cond": "x"}],
+        }],
+    })
+    for mode in ("structural", "semantic"):
+        assert explore(spec, mode=mode).var_values["f"] == {0, 1}, mode
+    assert analyze_spec(spec).variables["f"].values == {False, True}
+
+
+def test_initial_state_is_stored_once():
+    one_step = parse_spec({"name": "t", "partials": [
+        {"id": "P", "steps": [{"id": "1", "initial": True}]}]})
+    for mode in ("structural", "semantic"):
+        assert explore(one_step, mode=mode).states_seen == 1, mode
+    # With an edge operand the initial state has no history yet, unlike the
+    # two stuttering states that remember x false and x true.
+    edge = parse_spec({
+        "name": "t",
+        "variables": [{"name": "x", "kind": "input", "type": "bool"},
+                      {"name": "f", "kind": "internal", "type": "bool", "init": 0}],
+        "partials": [{
+            "id": "P",
+            "steps": [{"id": "1", "initial": True}],
+            "actions": [{"kind": "stored", "step": "1", "var": "f", "value": "true",
+                         "cond": "re(x)"}],
+        }],
+    })
+    assert explore(edge, mode="structural").states_seen == 2
+    assert explore(edge, mode="semantic").states_seen == 3

@@ -2,10 +2,13 @@
 
 import random
 
-from grafcet_lint import analyze_spec, parse_spec
+from grafcet_lint import analyze_spec, load_spec, parse_spec
 from grafcet_lint.hierarchy import InitialSituation, build_hierarchy, initial_situations
-from grafcet_lint.reachconc import analyze_partial, init_concurrency, reach_analysis
-from randspec import random_spec
+from grafcet_lint.reachconc import (analyze_partial, concurrent, init_concurrency,
+                                    reach_analysis)
+from conftest import corpus_path
+from lift_reference import lift_concurrency_reference
+from randspec import random_forcing_spec, random_spec
 
 FIG4_EXPECTED = {
     "s1": {"s2", "s4", "s5", "s6"},
@@ -193,3 +196,71 @@ def test_global_relation_is_symmetric_irreflexive_without_empty_entries(load_fix
     rng = random.Random(5)
     for _ in range(200):
         _assert_relation_shape(analyze_spec(random_spec(rng)).global_concurrency)
+
+
+def _assert_lift_matches_reference(spec):
+    result = analyze_spec(spec)
+    graph, _ = build_hierarchy(spec)
+    reference = lift_concurrency_reference(spec, graph, result.reachable_by_partial,
+                                           result.conc_by_partial)
+    relation = result.global_concurrency
+    assert relation == {a: sorted(partners) for a, partners in reference.items()}, spec.name
+    for a, partners in relation.items():
+        assert all(x < y for x, y in zip(partners, partners[1:])), (a, partners)
+        assert a not in partners
+    return graph, relation
+
+
+def test_lift_matches_string_set_reference_on_corpus_and_random_specs():
+    for path in sorted(corpus_path("").glob("*.grafcet.json")):
+        _assert_lift_matches_reference(load_spec(path))
+    rng = random.Random(7)
+    for _ in range(300):
+        _assert_lift_matches_reference(random_spec(rng))
+    rng = random.Random(2026)
+    for _ in range(300):
+        _assert_lift_matches_reference(random_forcing_spec(rng))
+
+
+def test_lift_matches_reference_on_a_cyclic_hierarchy():
+    # A encloses B and C from concurrent steps, B encloses A back and forces
+    # C, and the root R runs beside them: graph.order falls back to the
+    # declaration order, so rule (c) reads anchors whose partners are still
+    # growing.
+    a = _cycle("A", "1", "2")
+    a["transitions"].append({"id": "t9", "from": ["1"], "to": ["1", "3"]})
+    a["steps"].append({"id": "3"})
+    a["enclosings"] = [{"step": "2", "target": "B"}, {"step": "3", "target": "C"}]
+    b = _cycle("B", "b1", "b2")
+    b["steps"][0] = {"id": "b1", "marked": True}
+    b["enclosings"] = [{"step": "b2", "target": "A"}]
+    b["actions"] = [{"kind": "forcing", "step": "b1", "target": "C", "situation": "init"}]
+    c = _cycle("C", "c1", "c2")
+    c["steps"][0] = {"id": "c1", "initial": True, "marked": True}
+    spec = parse_spec({"name": "cyclic", "partials": [c, b, a, _cycle("R", "r1", "r2")]})
+    graph, relation = _assert_lift_matches_reference(spec)
+    assert not graph.is_partial_order and graph.order == graph.nodes
+    assert concurrent(relation, "B.b1", "R.r2")
+
+
+def test_lift_matches_reference_on_an_unreachable_anchor():
+    # P1.s2 is never reached, yet its enclosing edge pairs it with P2's steps.
+    p1 = _cycle("P1", "s1", "s3")
+    p1["steps"].append({"id": "s2"})
+    p1["enclosings"] = [{"step": "s2", "target": "P2"}]
+    p2 = _cycle("P2", "u1", "u2")
+    p2["steps"][0] = {"id": "u1", "marked": True}
+    spec = parse_spec({"name": "dead-anchor", "partials": [p1, p2]})
+    _, relation = _assert_lift_matches_reference(spec)
+    assert relation["P1.s2"] == ["P2.u1", "P2.u2"]
+
+
+def test_concurrent_reads_present_and_absent_pairs(load_fixture):
+    relation = analyze_spec(load_fixture("g_rit.grafcet.json")).global_concurrency
+    assert concurrent(relation, "G10.b", "G_RIT.11")
+    assert concurrent(relation, "G_RIT.11", "G10.b")
+    assert not concurrent(relation, "G10.b", "G_RIT.10")
+    assert not concurrent(relation, "G10.b", "G10.b")
+    # An id past every partner, and a step without partners.
+    assert not concurrent(relation, "G10.b", "zz")
+    assert not concurrent(relation, "no.such-step", "G10.b")
