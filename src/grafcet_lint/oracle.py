@@ -230,10 +230,10 @@ def _explore(spec, partials, initial_override, mode, max_states,
             counts[world.track_at[i]] += 1
 
     # A state is (active mask, stored values, activation counts, previous
-    # edge-operand values); it is also its own seen-set key.
-    # The initial state has no edge history (None); without edge operands
-    # semantic mode keeps the empty history () every successor carries, so
-    # the initial configuration is one state, not two.
+    # edge-operand values); it is also its own seen-set key. The initial
+    # state has no history (None), except in semantic mode without edge
+    # operands: there every successor's history is (), and so is its own,
+    # or the initial configuration would be stored twice.
     history = () if mode == "semantic" and not world.edge_operands else None
     seen = set()
     frontier = deque()

@@ -196,40 +196,40 @@ def lift_concurrency(
 
     The pairs are kept as ``int`` bitsets over the sorted global ids: id
     ``i`` of ``n`` is bit ``n - 1 - i``, so ``format(mask, f"0{n}b")`` spells
-    a mask in id order and ``itertools.compress`` turns it into a sorted list
-    in C. A partial id holds no ".", so the prefix "P." belongs to the steps
-    of P alone: one partial's steps are contiguous in this order, and its
-    reachable mask lies in one run of bits. A product with a whole partial (roots, rule
-    (b), the activated side of rule (c)) is one OR into that partial's
-    ``whole`` mask, which holds for each of its reachable steps; reading a
-    step's partners ORs it in.
+    a mask in id order, and ``itertools.compress`` turns it into a sorted
+    list in C. A partial id holds no ".", so the prefix "P." belongs to the
+    steps of P alone: one partial's steps are contiguous in this order, and
+    a mask of one partial's steps lies in one run of bits. A product with a
+    whole partial (the roots, rule (b), the activated side of rule (c)) is
+    one OR into that partial's ``whole`` mask, which holds for each of its
+    reachable steps; ``partners`` ORs it in when it reads a step.
     """
-    gid = {c.id: {s: spec.global_step(c.id, s) for s in c.steps} for c in spec.partials}
-    names = sorted(g for ids in gid.values() for g in ids.values())
+    ids = sorted((spec.global_step(c.id, s), c.id, s) for c in spec.partials for s in c.steps)
+    names = [g for g, _, _ in ids]
     n = len(names)
-    pos = {g: i for i, g in enumerate(names)}
-    bit = {pid: {s: 1 << (n - 1 - pos[g]) for s, g in ids.items()} for pid, ids in gid.items()}
+    bit: dict[str, dict[str, int]] = {pid: {} for pid in reachable_by_partial}
+    for i, (_, pid, s) in enumerate(ids):
+        bit[pid][s] = 1 << (n - 1 - i)
+    row = {pid: dict.fromkeys(bits, 0) for pid, bits in bit.items()}  # one step's partners
     reach = {pid: sum(map(bit[pid].__getitem__, steps))
              for pid, steps in reachable_by_partial.items()}
-    row = dict.fromkeys(names, 0)  # partners recorded step by step
     whole = dict.fromkeys(reach, 0)  # partners of every reachable step of a partial
-
     spelling = f"0{n}b"
 
-    def select(mask: int) -> bytes:
-        # One byte per id, truthy where the id is in the mask.
-        return format(mask, spelling).encode().translate(_SELECT)
+    def members(mask: int, items: list):
+        # The items, one per id, whose bits are set in the mask.
+        return compress(items, format(mask, spelling).encode().translate(_SELECT))
 
     def partners(pid: str, s: str) -> int:
-        mask = row[gid[pid][s]]
+        mask = row[pid][s]
         if s in reachable_by_partial[pid]:
             mask |= whole[pid]
         return mask & ~bit[pid][s]
 
     for pid, conc in conc_by_partial.items():
-        ids, to_bit = gid[pid], bit[pid].__getitem__
+        steps, to_bit = row[pid], bit[pid].__getitem__
         for s, others in conc.items():
-            row[ids[s]] |= sum(map(to_bit, others))
+            steps[s] |= sum(map(to_bit, others))
 
     # Initially active root partials all run concurrently from the start.
     roots = [c.id for c in spec.partials if c.initial]
@@ -256,18 +256,14 @@ def lift_concurrency(
             near = partners(pid, e.step) | bit[pid][e.step]
             whole[e.target] |= near
             if reach[e.target]:
-                for g in compress(names, select(near)):
-                    row[g] |= reach[e.target]
+                for _, pid2, s2 in members(near, ids):
+                    row[pid2][s2] |= reach[e.target]
 
-    for pid, steps in reachable_by_partial.items():
-        ids = gid[pid]
-        for s in steps:
-            row[ids[s]] |= whole[pid]
     relation = {}
-    for i, g in enumerate(names):
-        mask = row[g] & ~(1 << (n - 1 - i))
+    for g, pid, s in ids:
+        mask = partners(pid, s)
         if mask:
-            relation[g] = list(compress(names, select(mask)))
+            relation[g] = list(members(mask, names))
     return relation
 
 

@@ -515,6 +515,8 @@ _SCALARS = st.one_of(_STRINGS, st.integers(), st.floats(allow_nan=False, allow_i
 @example([True, 1, 1.0, False, 0, 0.0, -0.0, None, "1"])
 @example({"k\u00e9y": ['q"uote', "back\\slash", "ctl\x01\n", "\U0001f600"]})
 @example(["a", ["b", 2], "c"])
+@example(["G1.a", "G1.b", "s/ash"])  # no item needs escaping
+@example(["G1.a", 'q"', "G1.b\u00e9"])  # some items do
 def test_report_writer_matches_json_dumps(obj):
     assert _written(obj) == _dumps(obj)
 
