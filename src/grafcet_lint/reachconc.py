@@ -198,38 +198,42 @@ def lift_concurrency(
     ``i`` of ``n`` is bit ``n - 1 - i``, so ``format(mask, f"0{n}b")`` spells
     a mask in id order, and ``itertools.compress`` turns it into a sorted
     list in C. A partial id holds no ".", so the prefix "P." belongs to the
-    steps of P alone: one partial's steps are contiguous in this order, and
-    a mask of one partial's steps lies in one run of bits. A product with a
+    steps of P alone and is no prefix of another partial's "Q.": one
+    partial's steps are contiguous in this order, and sorting the partials
+    by "P." and then each partial's step ids yields it. A product with a
     whole partial (the roots, rule (b), the activated side of rule (c)) is
     one OR into that partial's ``whole`` mask, which holds for each of its
     reachable steps; ``partners`` ORs it in when it reads a step.
     """
-    ids = sorted((spec.global_step(c.id, s), c.id, s) for c in spec.partials for s in c.steps)
-    names = [g for g, _, _ in ids]
-    n = len(names)
-    bit: dict[str, dict[str, int]] = {pid: {} for pid in reachable_by_partial}
-    for i, (_, pid, s) in enumerate(ids):
-        bit[pid][s] = 1 << (n - 1 - i)
-    row = {pid: dict.fromkeys(bits, 0) for pid, bits in bit.items()}  # one step's partners
+    n = sum(len(c.steps) for c in spec.partials)
+    names: list[str] = []  # the global ids in sorted order
+    bit: dict[str, dict[str, int]] = {}
+    for c in sorted(spec.partials, key=lambda c: c.id + "."):
+        steps = sorted(c.steps)
+        top = n - 1 - len(names)
+        bit[c.id] = {s: 1 << (top - k) for k, s in enumerate(steps)}
+        names += [spec.global_step(c.id, s) for s in steps]
+    rows = [0] * n  # by id (bit b is id n - b.bit_length()): that step's own partners
     reach = {pid: sum(map(bit[pid].__getitem__, steps))
              for pid, steps in reachable_by_partial.items()}
     whole = dict.fromkeys(reach, 0)  # partners of every reachable step of a partial
     spelling = f"0{n}b"
 
-    def members(mask: int, items: list):
+    def members(mask: int, items):
         # The items, one per id, whose bits are set in the mask.
         return compress(items, format(mask, spelling).encode().translate(_SELECT))
 
     def partners(pid: str, s: str) -> int:
-        mask = row[pid][s]
+        mask = rows[n - bit[pid][s].bit_length()]
         if s in reachable_by_partial[pid]:
             mask |= whole[pid]
         return mask & ~bit[pid][s]
 
     for pid, conc in conc_by_partial.items():
-        steps, to_bit = row[pid], bit[pid].__getitem__
+        to_bit = bit[pid].__getitem__
         for s, others in conc.items():
-            steps[s] |= sum(map(to_bit, others))
+            if others:
+                rows[n - to_bit(s).bit_length()] = sum(map(to_bit, others))
 
     # Initially active root partials all run concurrently from the start.
     roots = [c.id for c in spec.partials if c.initial]
@@ -256,14 +260,20 @@ def lift_concurrency(
             near = partners(pid, e.step) | bit[pid][e.step]
             whole[e.target] |= near
             if reach[e.target]:
-                for _, pid2, s2 in members(near, ids):
-                    row[pid2][s2] |= reach[e.target]
+                for i in members(near, range(n)):
+                    rows[i] |= reach[e.target]
 
-    relation = {}
-    for g, pid, s in ids:
-        mask = partners(pid, s)
+    for pid, mask in whole.items():
         if mask:
-            relation[g] = list(members(mask, names))
+            to_bit = bit[pid].__getitem__
+            for s in reachable_by_partial[pid]:
+                rows[n - to_bit(s).bit_length()] |= mask
+    relation = {}
+    for i, mask in enumerate(rows):
+        if mask:
+            mask &= ~(1 << (n - 1 - i))
+            if mask:
+                relation[names[i]] = list(members(mask, names))
     return relation
 
 
