@@ -4,12 +4,12 @@ unreachable steps, unbounded activations and user-declared safety queries."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .conditions import BOTH, ONLY_FALSE, ONLY_TRUE, StepRef, TOP_INT, VarRef, abstract_eval, to_text, variables_read
 from .findings import Finding, finding, sort_findings
 from .model import ContinuousAction, GrafcetSpec, StoredAction
 from .reachconc import concurrent
+from .record import Record
 from .varapprox import ExecutionBound, VarApprox
 
 __all__ = [
@@ -145,8 +145,7 @@ def unbounded_findings(spec: GrafcetSpec,
 
 # --- safety queries --------------------------------------------------------
 
-@dataclass(frozen=True)
-class SafetyQuery:
+class SafetyQuery(Record):
     name: str
     kind: str  # "never-concurrent" | "never-coactive"
     steps: tuple[str, str] | None = None  # global step ids

@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass
+
+from .record import Record
 
 __all__ = [
     "Arith",
@@ -60,18 +61,15 @@ class CondTypeError(ValueError):
     """Type error in a condition (e.g. an edge of an integer variable)."""
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(Record):
     value: bool
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class StepRef:
+class StepRef(Record):
     partial: str
     step: str
 
@@ -80,16 +78,14 @@ class StepRef:
         return f"X{self.partial}.{self.step}"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """One summand of a linear integer expression: coeff * var, or a constant."""
 
     coeff: int
     var: str | None = None
 
 
-@dataclass(frozen=True)
-class Arith:
+class Arith(Record):
     """A linear integer expression, kept as an ordered sum of terms."""
 
     terms: tuple[Term, ...]
@@ -101,28 +97,24 @@ class Arith:
         return sum(t.coeff for t in self.terms)
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(Record):
     op: str  # one of = <> < <= > >=
     left: Arith
     right: Arith
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     operand: "Condition"
 
 
-@dataclass(frozen=True)
-class NaryOp:
+class NaryOp(Record):
     """n-ary conjunction ('&') or disjunction ('|')."""
 
     op: str
     items: tuple["Condition", ...]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     kind: str  # 're' or 'fe'
     operand: VarRef | StepRef
 

@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+
+from .record import Record
 
 SEVERITIES = ("error", "warning", "info")
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     kind: str
     severity: str
     partial: str | None
     element: str | None
     message: str
-    evidence: tuple[tuple[str, object], ...] = field(default=())
+    evidence: tuple[tuple[str, object], ...] = ()
 
     @property
     def stable_id(self) -> str:

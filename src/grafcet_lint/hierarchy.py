@@ -7,18 +7,17 @@ Grafcets. These dependencies must form a partial order; each incoming edge
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .findings import Finding, finding
 from .model import GrafcetSpec
+from .record import Record
 
 __all__ = ["HierarchyEdge", "HierarchyGraph", "InitialSituation", "build_hierarchy",
            "initial_situations"]
 
 
-@dataclass(frozen=True)
-class HierarchyEdge:
+class HierarchyEdge(Record):
     source: str  # partial holding the enclosing step / forcing order
     target: str
     kind: str  # "enclosing" | "forcing"
@@ -26,8 +25,7 @@ class HierarchyEdge:
     situation: frozenset[str] | str | None = None  # forcing only
 
 
-@dataclass(frozen=True)
-class HierarchyGraph:
+class HierarchyGraph(Record):
     nodes: tuple[str, ...]
     edges: tuple[HierarchyEdge, ...]
     order: tuple[str, ...]  # superiors before inferiors; ``nodes`` when there is a cycle
@@ -41,8 +39,7 @@ class HierarchyGraph:
         return tuple(e for e in self.edges if e.target == partial_id)
 
 
-@dataclass(frozen=True)
-class InitialSituation:
+class InitialSituation(Record):
     partial_id: str
     source: str  # "initial-steps" | "enclosing" | "forcing"
     from_step: str | None  # step in the superior partial, None for initial-steps

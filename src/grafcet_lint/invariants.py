@@ -13,13 +13,13 @@ hashed, and the cost on a cyclic chain grows quadratically, not cubically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import add
 
 from .findings import Finding, finding
 from .model import PartialGrafcet
+from .record import Record
 
 __all__ = [
     "InvariantCapExceeded",
@@ -113,8 +113,7 @@ def _minimal_support(vectors: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(Record):
     s_invariants: tuple[tuple[int, ...], ...]  # indexed like c.steps
     t_invariants: tuple[tuple[int, ...], ...]  # indexed like c.transitions
     per_step_bound: dict[str, float]  # math.inf for a step no S-invariant covers

@@ -10,11 +10,11 @@ so the first "." of a global id ends its partial id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .conditions import Arith, CondTypeError, Condition, typecheck
 from .findings import Finding, finding, sort_findings
+from .record import Record
 
 __all__ = [
     "ContinuousAction",
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VariableDecl:
+class VariableDecl(Record):
     name: str
     kind: str  # input | internal | output
     type: str  # bool | int
@@ -40,8 +39,7 @@ class VariableDecl:
         return 0 if self.init is None else self.init
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     id: str
     upstream: frozenset[str]
     downstream: frozenset[str]
@@ -52,15 +50,13 @@ class Transition:
         return not self.upstream
 
 
-@dataclass(frozen=True)
-class ContinuousAction:
+class ContinuousAction(Record):
     step: str
     var: str  # Boolean output, level-assigned while the step is active
     condition: Condition | None = None
 
 
-@dataclass(frozen=True)
-class StoredAction:
+class StoredAction(Record):
     step: str
     var: str  # internal or output variable
     value: Arith | bool  # Arith for int variables, literal for bools
@@ -68,8 +64,7 @@ class StoredAction:
     condition: Condition | None = None
 
 
-@dataclass(frozen=True)
-class ForcingAction:
+class ForcingAction(Record):
     step: str
     target: str  # partial Grafcet forced by this order
     situation: frozenset[str] | str  # explicit step set, "*" or "init"
@@ -80,8 +75,7 @@ Action = ContinuousAction | StoredAction | ForcingAction
 TRIGGERS = ("activation", "deactivation", "during")
 
 
-@dataclass(frozen=True)
-class PartialGrafcet:
+class PartialGrafcet(Record):
     id: str
     steps: tuple[str, ...]  # declaration order fixes invariant-vector indexing
     initial: frozenset[str]
@@ -121,16 +115,16 @@ class PartialGrafcet:
         return tuple(a for a in self.actions if isinstance(a, ForcingAction))
 
 
-@dataclass(frozen=True)
-class GrafcetSpec:
+class GrafcetSpec(Record):
     name: str
     inputs: tuple[VariableDecl, ...]
     internals: tuple[VariableDecl, ...]
     outputs: tuple[VariableDecl, ...]
     partials: tuple[PartialGrafcet, ...]
     # Carried from the file, not part of the model: equality ignores them.
-    queries: tuple[dict, ...] = field(default=(), compare=False)  # raw embedded queries
-    sha256: str | None = field(default=None, compare=False)  # of the source bytes
+    queries: tuple[dict, ...] = ()  # raw embedded queries
+    sha256: str | None = None  # of the source bytes
+    _uncompared = ("queries", "sha256")
 
     @cached_property
     def variables(self) -> dict[str, VariableDecl]:

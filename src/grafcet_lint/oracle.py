@@ -22,7 +22,6 @@ in step-index order, so the results do not depend on string hashing.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 from .conditions import Edge, StepRef, VarRef, concrete_eval, walk
@@ -36,15 +35,15 @@ ActionKey = tuple[str, int]
 MAX_BOOL_INPUTS = 6
 
 
-@dataclass
 class OracleFacts:
-    reachable: set[str] = field(default_factory=set)  # global step ids
-    pairs: set[frozenset[str]] = field(default_factory=set)  # co-active distinct steps
-    var_values: dict[str, set] = field(default_factory=dict)
-    conflicts: set[frozenset[ActionKey]] = field(default_factory=set)
-    activations: dict[str, int] = field(default_factory=dict)  # tracked steps: max count
-    states_seen: int = 0
-    inconclusive: bool = False
+    def __init__(self):
+        self.reachable: set[str] = set()  # global step ids
+        self.pairs: set[frozenset[str]] = set()  # co-active distinct steps
+        self.var_values: dict[str, set] = {}
+        self.conflicts: set[frozenset[ActionKey]] = set()
+        self.activations: dict[str, int] = {}  # tracked steps: max count
+        self.states_seen = 0
+        self.inconclusive = False
 
 
 def _bits(mask: int):

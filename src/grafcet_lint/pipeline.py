@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from . import checks, hierarchy, invariants, reachconc, varapprox
 from .findings import Finding, sort_findings
@@ -17,8 +16,8 @@ from .varapprox import ExecutionBound, VarApprox
 __all__ = ["AnalysisResult", "analyze_spec"]
 
 
-@dataclass
 class AnalysisResult:
+    """What ``analyze_spec`` computed for one spec, one keyword per attribute."""
     spec: GrafcetSpec
     results: dict[str, list[ReachConcResult]]
     reachable_by_partial: dict[str, frozenset[str]]
@@ -29,7 +28,10 @@ class AnalysisResult:
     bounds: dict[tuple[str, int], ExecutionBound]
     variables: dict[str, VarApprox]
     findings: list[Finding]
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float]
+
+    def __init__(self, **attributes):
+        vars(self).update(attributes)
 
 
 def analyze_spec(spec: GrafcetSpec) -> AnalysisResult:

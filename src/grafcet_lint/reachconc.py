@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress
 
 from .hierarchy import HierarchyGraph, InitialSituation
 from .model import GrafcetSpec, PartialGrafcet
+from .record import Record
 
 __all__ = [
     "ReachConcResult",
@@ -43,8 +43,7 @@ __all__ = [
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
-class ReachConcResult:
+class ReachConcResult(Record):
     situation: InitialSituation
     reachable: frozenset[str]
     concurrency: dict[str, frozenset[str]]

@@ -10,26 +10,24 @@ values each internal/output variable can take.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .invariants import InvariantSet
 from .model import ContinuousAction, GrafcetSpec, StoredAction
 from .reachconc import ReachConcResult
+from .record import Record
 
 __all__ = ["ExecutionBound", "VarApprox", "approximate_variables", "bound_executions"]
 
 ActionKey = tuple[str, int]  # (partial id, action index)
 
 
-@dataclass(frozen=True)
-class ExecutionBound:
+class ExecutionBound(Record):
     step: str
     count: float  # non-negative int, or math.inf
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class VarApprox:
+class VarApprox(Record):
     type: str
     interval: tuple[float, float] | None = None  # int variables
     values: frozenset[bool] | None = None  # bool variables

@@ -405,15 +405,17 @@ def _run_alone(capsys, *args):
 
 def test_cli_import_leaves_out_unused_modules():
     # A CI job starts one interpreter per spec, so every module the import
-    # pulls in is paid on each run. ``-S`` keeps site-packages' own imports
-    # out of the measurement.
+    # pulls in is paid on each run; the ``oracle`` subcommand adds the oracle's
+    # imports. ``-S`` keeps site-packages' own imports out of the measurement.
     src = str(Path(grafcet_lint.__file__).parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import grafcet_lint.cli; "
-            "print(sorted({'typing', 'pathlib', 'random', 'grafcet_lint.oracle'} "
-            "& set(sys.modules)))")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "unused = {'typing', 'pathlib', 'random', 'dataclasses', 'inspect'}; "
+            "import grafcet_lint.cli; "
+            "print(sorted((unused | {'grafcet_lint.oracle'}) & set(sys.modules))); "
+            "import grafcet_lint.oracle; print(sorted(unused & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n", proc.stdout
+    assert proc.stdout == "[]\n[]\n", proc.stdout
 
 
 def test_parser_is_built_once_per_process(corpus, monkeypatch, capsys):
