@@ -1,8 +1,11 @@
 """Byte-identical reports: the corpus's JSON and text reports against stored digests.
 
 ``report_digests.json`` maps each ``analyze`` command line (file names
-relative to the corpus) to the exit code and the sha256 of the report it
-prints with ``--no-timings``. A refactor must leave every entry unchanged.
+relative to the corpus, or to this directory for the tests-only specs) to
+the exit code and the sha256 of the report it prints with ``--no-timings``.
+``compound.grafcet.json`` covers what the corpus does not: compound,
+comparison, step-variable and literal conditions, and source transitions
+feeding parallel splits. A refactor must leave every entry unchanged.
 When a report change is intended, regenerate the file and commit it with the
 change that explains it::
 
@@ -21,11 +24,13 @@ from conftest import corpus_path
 from grafcet_lint.cli import main
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
+TEST_SPECS = ["compound.grafcet.json"]
 
 
 def _commands() -> list[str]:
     specs = sorted(p.name for p in corpus_path("").iterdir()
                    if p.name.endswith(".grafcet.json"))
+    specs += TEST_SPECS
     commands = [f"{s} --format {flag}" for s in specs
                 for flag in ("json", "json --dump-invariants", "text")]
     commands += [f"g_rit.grafcet.json --format {fmt} --queries g_rit.queries.json"
@@ -36,7 +41,11 @@ def _commands() -> list[str]:
 def _report(command: str) -> dict:
     argv = ["analyze", "--no-timings"]
     for arg in command.split():
-        argv.append(str(corpus_path(arg)) if arg.endswith(".json") else arg)
+        if arg in TEST_SPECS:
+            arg = str(Path(__file__).with_name(arg))
+        elif arg.endswith(".json"):
+            arg = str(corpus_path(arg))
+        argv.append(arg)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
