@@ -470,7 +470,7 @@ def _eval_arith(expr: Arith, env) -> Interval:
         if term.var is None:
             lo += term.coeff
             hi += term.coeff
-        else:
+        elif term.coeff:  # a zero term is 0, even on an unbounded variable
             vlo, vhi = env(VarRef(term.var))
             a, b = term.coeff * vlo, term.coeff * vhi
             lo += min(a, b)

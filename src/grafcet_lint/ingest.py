@@ -92,7 +92,11 @@ _PARTIAL_FIELDS = {"id", "steps", "enclosings", "transitions", "actions"}
 _STEP_FIELDS = {"id", "initial", "marked"}
 _ENCLOSING_FIELDS = {"step", "target"}
 _TRANSITION_FIELDS = {"id", "from", "to", "cond"}
-_ACTION_FIELDS = {"kind", "step", "var", "cond", "value", "trigger", "target", "situation"}
+_ACTION_FIELDS = {
+    "continuous": {"kind", "step", "var", "cond"},
+    "stored": {"kind", "step", "var", "value", "trigger", "cond"},
+    "forcing": {"kind", "step", "target", "situation"},
+}
 _TOP_FIELDS = {"name", "variables", "partials", "queries"}
 
 
@@ -111,6 +115,13 @@ def _no_unknown(data, allowed, where):
     for key in data:
         if key not in allowed:
             raise SpecSchemaError(f"{where}: unknown field {key!r}")
+
+
+def _flag(data, field, where):
+    value = data.get(field, False)
+    if not isinstance(value, bool):
+        raise SpecSchemaError(f"{where}: field {field!r} must be true or false")
+    return value
 
 
 def _list(data, field, where):
@@ -180,9 +191,9 @@ def _build_partial(data, where) -> PartialGrafcet:
         _no_unknown(s, _STEP_FIELDS, swhere)
         sid = _require(s, "id", str, swhere)
         steps.append(sid)
-        if s.get("initial", False) is True:
+        if _flag(s, "initial", swhere):
             initial.add(sid)
-        if s.get("marked", False) is True:
+        if _flag(s, "marked", swhere):
             marked.add(sid)
 
     enclosings = []
@@ -206,9 +217,7 @@ def _build_partial(data, where) -> PartialGrafcet:
 
     actions = []
     for i, a in enumerate(_list(data, "actions", where)):
-        awhere = f"{where}.actions[{i}]"
-        _no_unknown(a, _ACTION_FIELDS, awhere)
-        actions.append(_build_action(a, awhere))
+        actions.append(_build_action(a, f"{where}.actions[{i}]"))
 
     return PartialGrafcet(
         id=pid,
@@ -222,7 +231,12 @@ def _build_partial(data, where) -> PartialGrafcet:
 
 
 def _build_action(a, where):
+    if not isinstance(a, dict):
+        raise SpecSchemaError(f"{where}: expected an object")
     kind = _require(a, "kind", str, where)
+    if kind not in _ACTION_FIELDS:
+        raise SpecSchemaError(f"{where}: unknown action kind {kind!r}")
+    _no_unknown(a, _ACTION_FIELDS[kind], f"{where} ({kind} action)")
     step = _require(a, "step", str, where)
     if kind == "continuous":
         return ContinuousAction(
@@ -238,15 +252,13 @@ def _build_action(a, where):
             trigger=a.get("trigger", "activation"),
             condition=_parse_cond(a.get("cond"), where),
         )
-    if kind == "forcing":
-        situation = _require(a, "situation", (list, str), where)
-        if isinstance(situation, list):
-            situation = frozenset(_str_list(situation, where))
-        elif situation not in ("*", "init"):
-            raise SpecSchemaError(f"{where}: situation must be a step list, '*' or 'init'")
-        return ForcingAction(step=step, target=_require(a, "target", str, where),
-                             situation=situation)
-    raise SpecSchemaError(f"{where}: unknown action kind {kind!r}")
+    situation = _require(a, "situation", (list, str), where)
+    if isinstance(situation, list):
+        situation = frozenset(_str_list(situation, where))
+    elif situation not in ("*", "init"):
+        raise SpecSchemaError(f"{where}: situation must be a step list, '*' or 'init'")
+    return ForcingAction(step=step, target=_require(a, "target", str, where),
+                         situation=situation)
 
 
 def _parse_cond(text, where):

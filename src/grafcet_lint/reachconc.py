@@ -6,13 +6,16 @@ set S^C_s of steps that can be active at the same time as s. Transition
 conditions are ignored (assumed satisfiable), which makes the result
 independent of variable values.
 
-Source transitions get a second pass: their downstream steps can be
-activated concurrently to any already-reachable step, so the analysis is
-re-run with the first pass's S^R as ``source_seed``, which ``reach_analysis``
-adds to those steps' concurrency sets before its worklist starts.
+Because conditions are ignored, S^R does not depend on the concurrency sets:
+it is computed first, as a closure, and one worklist then computes the
+concurrency sets over the transitions that can fire. A source transition
+can fire in any situation, so its downstream steps become concurrent to all
+of S^R, the intersection over its empty set of upstream steps.
 
 Every fact is added one set at a time by ``grow``, which returns the steps
-whose set grew; only their downstream transitions are re-enqueued.
+whose set grew; only the fireable transitions downstream of them are
+re-enqueued. A transition with an unreachable upstream step never fires,
+however the sets of its reachable upstream steps grow.
 
 ``lift_concurrency`` lifts the per-partial results to one global relation
 over "partial.step" ids. It works on ``int`` bitsets over the sorted ids and
@@ -26,7 +29,7 @@ from collections import deque
 from itertools import compress
 
 from .hierarchy import HierarchyGraph, InitialSituation
-from .model import GrafcetSpec, PartialGrafcet
+from .model import GrafcetSpec, PartialGrafcet, Transition
 from .record import Record
 
 __all__ = [
@@ -82,61 +85,49 @@ def grow(conc: dict[str, set[str]], s: str, others: set[str] | frozenset[str]) -
 def reach_analysis(
     c: PartialGrafcet,
     initial: frozenset[str],
-    source_seed: frozenset[str] = frozenset(),
     rng=None,
 ) -> tuple[set[str], dict[str, set[str]]]:
-    """One worklist pass; returns (S^R, concurrency sets).
+    """Returns (S^R, concurrency sets) from the initial steps ``initial``.
 
-    ``source_seed`` is the set the downstream steps of source transitions
-    start out concurrent to, and the set used in place of the intersection
-    term when such a transition fires. ``rng``, a ``random.Random`` when
-    given, randomizes the worklist order; the fixpoint is confluent so the
-    result is unchanged.
+    ``rng``, a ``random.Random`` when given, randomizes the worklist order;
+    the fixpoint is confluent so the result is unchanged.
     """
-    conc = init_concurrency(c, initial)
-    for t in c.source_transitions:
-        for s in t.downstream:
-            grow(conc, s, source_seed)
-    reachable: set[str] = set(initial)
+    # S^R: a transition fires once all its upstream steps are reachable, so a
+    # source transition always can.
+    reachable = set(initial)
+    fireable: dict[str, Transition] = {}
+    stack = list(c.transitions)
+    while stack:
+        t = stack.pop()
+        if t.id not in fireable and t.upstream <= reachable:
+            fireable[t.id] = t
+            for s in t.downstream - reachable:
+                reachable.add(s)
+                stack += c.downstream_of[s]
 
-    # Initially enabled transitions: source transitions, which are enabled in
-    # any situation, plus those downstream of the initial steps.
-    queue = deque(c.source_transitions)
-    pending = {t.id for t in queue}
+    conc = init_concurrency(c, initial)
+    queue = deque(fireable.values())
+    pending = set(fireable)
     enqueues = len(queue)
     nsteps = len(c.steps)
     enqueue_bound = len(c.transitions) * (nsteps * (nsteps + 1) + 2)
 
-    def enqueue(steps) -> None:
-        """Enqueue the transitions downstream of ``steps``."""
-        nonlocal enqueues
-        for s in steps:
-            for t in c.downstream_of[s]:
-                if t.id not in pending:
-                    pending.add(t.id)
-                    queue.append(t)
-                    enqueues += 1
-        assert enqueues <= enqueue_bound, "worklist failed to stabilize within bound"
-
-    enqueue(initial)
     while queue:
         if rng is not None:
             queue.rotate(-rng.randrange(len(queue)))
         t = queue.popleft()
         pending.discard(t.id)
-        if not t.upstream <= reachable:
-            continue
         # Downstream steps of a parallel activation become mutually concurrent,
         # then inherit the intersection of the upstream steps' concurrency.
-        if t.upstream:
-            shared = set.intersection(*(conc[s] for s in t.upstream))
-        else:
-            shared = source_seed
-        others = t.downstream | shared
-        enqueue(t.downstream - reachable)
-        reachable |= t.downstream
-        for s in t.downstream:
-            enqueue(grow(conc, s, others))
+        others = t.downstream | reachable.intersection(*(conc[s] for s in t.upstream))
+        for d in t.downstream:
+            for s in grow(conc, d, others):
+                for u in c.downstream_of[s]:
+                    if u.id in fireable and u.id not in pending:
+                        pending.add(u.id)
+                        queue.append(u)
+                        enqueues += 1
+        assert enqueues <= enqueue_bound, "worklist failed to stabilize within bound"
 
     return reachable, conc
 
@@ -146,12 +137,8 @@ def analyze_partial(
     situation: InitialSituation,
     rng=None,
 ) -> ReachConcResult:
-    """Full analysis for one initial situation, including the source pass."""
+    """Full analysis for one initial situation."""
     reachable, conc = reach_analysis(c, situation.steps, rng=rng)
-    if c.source_transitions:
-        reachable, conc = reach_analysis(
-            c, situation.steps, source_seed=frozenset(reachable), rng=rng
-        )
     result = ReachConcResult(
         situation=situation,
         reachable=frozenset(reachable),

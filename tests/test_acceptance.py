@@ -205,6 +205,32 @@ def test_situations_sound_against_oracle():
     assert rate <= 0.10, f"too many inconclusive runs: {rate:.1%}"
 
 
+def test_execution_bounds_sound_against_oracle():
+    # Every finite ExecutionBound.count bounds how often the oracle activates
+    # the action's step, forcing orders included.
+    rng7, rng2026 = random.Random(7), random.Random(2026)
+    specs = [random_spec(rng7) for _ in range(300)]
+    specs += [random_forcing_spec(rng2026) for _ in range(300)]
+    explored, inconclusive, checked = 0, 0, 0
+    for n, spec in enumerate(specs):
+        bounds = {key: b for key, b in analyze_spec(spec).bounds.items() if b.count < math.inf}
+        if not bounds:
+            continue
+        explored += 1
+        steps = {key: spec.global_step(key[0], b.step) for key, b in bounds.items()}
+        facts = explore(spec, max_states=8000, track_activations=tuple(steps.values()))
+        if facts.inconclusive:
+            inconclusive += 1
+            continue
+        for key, b in bounds.items():
+            assert facts.activations[steps[key]] <= b.count, (n, key, b)
+            checked += 1
+    rate = inconclusive / explored
+    print(f"  {checked} bounds on {explored} specs, {inconclusive} inconclusive ({rate:.1%})")
+    assert checked >= 700
+    assert rate <= 0.10, f"too many inconclusive runs: {rate:.1%}"
+
+
 # The forcing corpus below holds two specs whose oracle pairs the analysis
 # misses. In both, one step of P1 encloses P2 and another step forces it.
 # The analysis pairs P2's steps only with the steps that enclose or force

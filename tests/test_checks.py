@@ -104,6 +104,21 @@ class TestConditions:
         assert len(_kinds(result, "unsat-condition", "error")) == 1
         assert len(_kinds(result, "unreachable-step", "warning")) == 2
 
+    def test_zero_times_unbounded_input_is_unsat(self):
+        # 0*n is 0 for every value of the unbounded input n, never 0 * inf.
+        result = analyze_spec(parse_spec({
+            "name": "t",
+            "variables": [{"name": "n", "kind": "input", "type": "int"}],
+            "partials": [{
+                "id": "P",
+                "steps": [{"id": "1", "initial": True}, {"id": "2"}],
+                "transitions": [{"id": "t1", "from": ["1"], "to": ["2"],
+                                 "cond": "0*n = 1"}],
+            }],
+        }))
+        unsat = _kinds(result, "unsat-condition", "error")
+        assert len(unsat) == 1 and unsat[0].element == "t1"
+
     def test_constant_true_condition_is_informational(self):
         result = analyze_spec(parse_spec({
             "name": "t",

@@ -203,6 +203,15 @@ def _fig5_with_value(digits):
     return _fig5_with().replace(b'"k + 1"', b'"' + digits + b'"')
 
 
+def _fig5_with_step(**fields):
+    steps = json.loads(_fig5_with())["partials"][0]["steps"]
+    return _fig5_partial_with(steps=[{**steps[0], **fields}, *steps[1:]])
+
+
+def _fig5_with_action(**fields):
+    return _fig5_partial_with(actions=[{"step": "s5", **fields}])
+
+
 def _coactive_sidecar(value):
     return json.dumps({"queries": [{"kind": "never-coactive",
                                     "a": {"var": "k", "value": value},
@@ -275,6 +284,24 @@ def _coactive_sidecar(value):
     pytest.param(_fig5_with(queries=[{"kind": "never-concurrent", "name": {"a": 1},
                                       "steps": ["c.s1", "c.s2"]}]), None,
                  "'name' must be a string", id="embedded-name-object"),
+    pytest.param(_fig5_with_step(initial=1), None, "'initial' must be true or false",
+                 id="initial-number"),
+    pytest.param(_fig5_with_step(marked="yes"), None, "'marked' must be true or false",
+                 id="marked-string"),
+    pytest.param(_fig5_with_step(initial=None), None, "'initial' must be true or false",
+                 id="initial-null"),
+    pytest.param(_fig5_with_action(kind="forcing", target="c", situation="init", cond="x"),
+                 None, "(forcing action): unknown field 'cond'", id="forcing-cond"),
+    pytest.param(_fig5_with_action(kind="continuous", var="k", value="1"), None,
+                 "(continuous action): unknown field 'value'", id="continuous-value"),
+    pytest.param(_fig5_with_action(kind="continuous", var="k", trigger="activation"), None,
+                 "(continuous action): unknown field 'trigger'", id="continuous-trigger"),
+    pytest.param(_fig5_with_action(kind="stored", var="k", value="1", target="c"), None,
+                 "(stored action): unknown field 'target'", id="stored-target"),
+    pytest.param(_fig5_with_action(kind="pulse", var="k"), None, "unknown action kind 'pulse'",
+                 id="action-kind-unknown"),
+    pytest.param(_fig5_partial_with(actions=[5]), None, "actions[0]: expected an object",
+                 id="action-number"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, spec, sidecar, message):
     path = tmp_path / "spec.grafcet.json"

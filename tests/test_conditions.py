@@ -1,5 +1,7 @@
 """Condition parser, serializer and evaluators."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -233,6 +235,12 @@ class TestAbstractEval:
                              _env(ints={"k": (0, 2), "n": (3, 9)})) == ONLY_TRUE
         assert abstract_eval(parse_condition("k > n"),
                              _env(ints={"k": (0, 2), "n": (3, 9)})) == ONLY_FALSE
+
+
+    def test_zero_coefficient_on_unbounded_variable(self):
+        unbounded = _env(ints={"n": (-math.inf, math.inf)})
+        assert abstract_eval(parse_condition("0*n = 1"), unbounded) == ONLY_FALSE
+        assert abstract_eval(parse_condition("0*n < 1"), unbounded) == ONLY_TRUE
 
 
 class TestConcreteEval:

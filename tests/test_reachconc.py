@@ -1,14 +1,16 @@
 """Worklist reachability/concurrency fixpoint and the hierarchy lift."""
 
 import random
+from pathlib import Path
 
-from grafcet_lint import analyze_spec, load_spec, parse_spec
+from grafcet_lint import analyze_spec, load_spec, parse_spec, reachconc, serialize
 from grafcet_lint.hierarchy import InitialSituation, build_hierarchy, initial_situations
 from grafcet_lint.reachconc import (analyze_partial, concurrent, init_concurrency,
                                     reach_analysis)
 from conftest import corpus_path
 from lift_reference import lift_concurrency_reference
 from randspec import random_forcing_spec, random_spec
+from reach_reference import reach_analysis_reference
 
 FIG4_EXPECTED = {
     "s1": {"s2", "s4", "s5", "s6"},
@@ -97,6 +99,82 @@ def test_source_pass_makes_downstream_concurrent_to_everything(load_fixture):
     assert result.reachable == frozenset({"1", "2"})
     assert result.concurrency["1"] == frozenset({"2"})
     assert result.concurrency["2"] == frozenset({"1"})
+
+
+def test_source_transitions_take_one_pass(load_fixture, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reach_analysis(*args, **kwargs)
+
+    monkeypatch.setattr(reachconc, "reach_analysis", counted)
+    spec = load_fixture("fig2_g5.grafcet.json")
+    analyze_partial(spec.partial_map["G5"], _situation("G5", {"1"}))
+    assert len(calls) == 1
+
+
+# Step 2 is reachable but u is not, so t2 never fires however S^C_2 grows.
+HALF_ENABLED = {
+    "name": "half-enabled",
+    "partials": [{
+        "id": "P",
+        "steps": [{"id": "1", "initial": True}, {"id": "2"}, {"id": "3"},
+                  {"id": "4"}, {"id": "5", "initial": True}, {"id": "u"}],
+        "transitions": [
+            {"id": "t1", "from": ["1"], "to": ["2"]},
+            {"id": "t2", "from": ["2", "u"], "to": ["3", "4"]},
+        ],
+    }],
+}
+
+
+def test_half_enabled_transition_never_fires():
+    result = analyze_spec(parse_spec(HALF_ENABLED))
+    assert result.reachable_by_partial["P"] == frozenset({"1", "2", "5"})
+    assert result.global_concurrency == {
+        "P.1": ["P.5"], "P.2": ["P.5"], "P.5": ["P.1", "P.2"]}
+
+
+def _with_sources_and_sinks(rng):
+    # A random spec plus 0-2 source transitions and at most one sink per
+    # partial, each source feeding one step or a parallel split.
+    doc = serialize(random_spec(rng))
+    for p in doc["partials"]:
+        ids = [s["id"] for s in p["steps"]]
+        for i in range(rng.randint(0, 2)):
+            p["transitions"].append({"id": f"src{i}", "from": [],
+                                     "to": rng.sample(ids, rng.randint(1, min(3, len(ids))))})
+        if rng.random() < 0.5:
+            p["transitions"].append({"id": "sink", "from": rng.sample(ids, rng.randint(1, 2)),
+                                     "to": []})
+    return parse_spec(doc)
+
+
+def _assert_matches_two_pass_reference(spec):
+    graph, _ = build_hierarchy(spec)
+    for c in spec.partials:
+        for sit in initial_situations(spec, graph, c.id):
+            reachable, conc = reach_analysis_reference(c, sit.steps)
+            result = analyze_partial(c, sit)
+            assert result.reachable == reachable, (spec.name, c.id, sit)
+            assert result.concurrency == conc, (spec.name, c.id, sit)
+
+
+def test_matches_two_pass_reference_on_corpus_and_random_specs():
+    for path in sorted(corpus_path("").glob("*.grafcet.json")):
+        _assert_matches_two_pass_reference(load_spec(path))
+    _assert_matches_two_pass_reference(load_spec(Path(__file__).with_name("compound.grafcet.json")))
+    _assert_matches_two_pass_reference(parse_spec(HALF_ENABLED))
+    rng = random.Random(7)
+    for _ in range(300):
+        _assert_matches_two_pass_reference(random_spec(rng))
+    rng = random.Random(2026)
+    for _ in range(300):
+        _assert_matches_two_pass_reference(random_forcing_spec(rng))
+    rng = random.Random(14)
+    for _ in range(300):
+        _assert_matches_two_pass_reference(_with_sources_and_sinks(rng))
 
 
 def test_sink_transition_consumes_only():
