@@ -163,17 +163,20 @@ def parse_queries(data: list[dict]) -> list[SafetyQuery]:
         if not isinstance(name, str):
             raise ValueError(f"query {i}: 'name' must be a string")
         if kind == "never-concurrent":
+            _no_unknown(q, ("name", "kind", "steps"), f"query {name!r}")
             steps = q.get("steps")
             if not isinstance(steps, list) or len(steps) != 2 or \
                     not all(isinstance(g, str) for g in steps):
                 raise ValueError(f"query {name!r}: 'steps' must list two global step ids")
             out.append(SafetyQuery(name, kind, steps=(steps[0], steps[1])))
         elif kind == "never-coactive":
+            _no_unknown(q, ("name", "kind", "a", "b"), f"query {name!r}")
             terms = []
             for side in ("a", "b"):
                 term = q.get(side)
                 if not isinstance(term, dict) or not isinstance(term.get("var"), str):
                     raise ValueError(f"query {name!r}: missing term {side!r}")
+                _no_unknown(term, ("var", "value"), f"query {name!r}: term {side!r}")
                 value = term.get("value", True)
                 if not isinstance(value, bool):
                     raise ValueError(f"query {name!r}: term {side!r} value must be true or false")
@@ -182,6 +185,12 @@ def parse_queries(data: list[dict]) -> list[SafetyQuery]:
         else:
             raise ValueError(f"query {name!r}: unknown kind {kind!r}")
     return out
+
+
+def _no_unknown(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"{where}: unknown field {key!r}")
 
 
 def run_queries(

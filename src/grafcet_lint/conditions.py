@@ -202,7 +202,7 @@ class _Parser:
         return node
 
     def parse_atom(self) -> Condition:
-        kind, val, pos = self.cur
+        kind, val, start = self.cur
         if kind == "op" and val == "(":
             self.advance()
             inner = self.parse_expr()
@@ -220,7 +220,7 @@ class _Parser:
         if kind == "ident" and "." in val:
             # Dotted names are step-activity variables, always Boolean.
             self.advance()
-            return self._to_ref(val)
+            return self._to_ref(val, start)
         # Either a comparison or a bare Boolean reference; decide by lookahead.
         left = self.parse_sum()
         kind, val, pos = self.cur
@@ -229,7 +229,7 @@ class _Parser:
             right = self.parse_sum()
             return Cmp(val, left, right)
         if len(left.terms) == 1 and left.terms[0].var is not None and left.terms[0].coeff == 1:
-            return self._to_ref(left.terms[0].var)
+            return self._to_ref(left.terms[0].var, start)
         raise CondParseError("expected a comparison operator", pos)
 
     def _parse_boolref(self) -> VarRef | StepRef:
@@ -237,13 +237,13 @@ class _Parser:
         if kind != "ident" or val in ("re", "fe", "true", "false"):
             raise CondParseError("expected a variable reference", pos)
         self.advance()
-        return self._to_ref(val)
+        return self._to_ref(val, pos)
 
     @staticmethod
-    def _to_ref(name: str) -> VarRef | StepRef:
+    def _to_ref(name: str, pos: int) -> VarRef | StepRef:
         if "." in name:
             if not name.startswith("X"):
-                raise CondParseError(f"dotted name {name!r} is not a step reference", 0)
+                raise CondParseError(f"dotted name {name!r} is not a step reference", pos)
             partial, step = name[1:].split(".", 1)
             return StepRef(partial, step)
         return VarRef(name)

@@ -31,13 +31,6 @@ class HierarchyGraph(Record):
     order: tuple[str, ...]  # superiors before inferiors; ``nodes`` when there is a cycle
     cycle: tuple[str, ...] | None = None  # populated when not a partial order
 
-    @property
-    def is_partial_order(self) -> bool:
-        return self.cycle is None
-
-    def incoming(self, partial_id: str) -> tuple[HierarchyEdge, ...]:
-        return tuple(e for e in self.edges if e.target == partial_id)
-
 
 class InitialSituation(Record):
     partial_id: str
@@ -81,30 +74,29 @@ def build_hierarchy(spec: GrafcetSpec) -> tuple[HierarchyGraph, list[Finding]]:
     return HierarchyGraph(nodes, tuple(edges), order, cycle), findings
 
 
-def initial_situations(spec: GrafcetSpec, graph: HierarchyGraph,
-                       partial_id: str) -> list[InitialSituation]:
-    """All entry modes of a partial Grafcet, one situation per source.
+def initial_situations(spec: GrafcetSpec,
+                       graph: HierarchyGraph) -> dict[str, list[InitialSituation]]:
+    """Every partial's entry modes, one situation per source, in one sweep.
 
-    Initial steps contribute I_c; each incoming enclosing edge contributes
+    Initial steps contribute I_c; each enclosing edge into c contributes
     M_c; a forcing with an explicit step set contributes that set; a forcing
     to "init" contributes I_c; a freezing forcing ("*") adds no entry point.
+    A partial's situations list its initial steps first, then its incoming
+    edges in ``graph.edges`` order.
     """
-    c = spec.partial_map[partial_id]
-    out: list[InitialSituation] = []
-    if c.initial:
-        out.append(InitialSituation(partial_id, "initial-steps", None, None, c.initial))
-    for edge in graph.incoming(partial_id):
+    out = {c.id: [InitialSituation(c.id, "initial-steps", None, None, c.initial)]
+           if c.initial else [] for c in spec.partials}
+    for edge in graph.edges:
+        c = spec.partial_map[edge.target]
         if edge.kind == "enclosing":
-            out.append(InitialSituation(partial_id, "enclosing", edge.step, edge.source,
-                                        c.marked))
+            steps = c.marked
         elif edge.situation == "*":
             continue
         elif edge.situation == "init":
-            out.append(InitialSituation(partial_id, "forcing", edge.step, edge.source,
-                                        c.initial))
+            steps = c.initial
         else:
-            out.append(InitialSituation(partial_id, "forcing", edge.step, edge.source,
-                                        edge.situation))
+            steps = edge.situation
+        out[c.id].append(InitialSituation(c.id, edge.kind, edge.step, edge.source, steps))
     return out
 
 

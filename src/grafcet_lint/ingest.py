@@ -153,7 +153,7 @@ def _build_spec(data, source, sha256) -> GrafcetSpec:
         if vtype not in ("bool", "int"):
             raise SpecSchemaError(f"{where}: type must be bool or int")
         init = v.get("init")
-        if init is not None and not isinstance(init, int):
+        if init is not None and (not isinstance(init, int) or isinstance(init, bool)):
             raise SpecSchemaError(f"{where}: init must be an integer")
         if init is not None and not INT_MIN <= init <= INT_MAX:
             raise SpecSchemaError(f"{where}: init must fit in a signed 64-bit integer")

@@ -117,7 +117,6 @@ class InvariantSet(Record):
     s_invariants: tuple[tuple[int, ...], ...]  # indexed like c.steps
     t_invariants: tuple[tuple[int, ...], ...]  # indexed like c.transitions
     per_step_bound: dict[str, float]  # math.inf for a step no S-invariant covers
-    incomplete: bool = False
 
     @cached_property
     def uncovered_steps(self) -> frozenset[str]:
@@ -142,7 +141,7 @@ def compute_invariants(c: PartialGrafcet, cap: int = DEFAULT_CAP
         t_invs = tuple(minimal_invariants([list(col) for col in zip(*matrix)], cap))
     except InvariantCapExceeded as exc:
         return (
-            InvariantSet((), (), {s: math.inf for s in c.steps}, incomplete=True),
+            InvariantSet((), (), {s: math.inf for s in c.steps}),
             [finding("analysis-incomplete", "warning",
                      f"invariant computation exceeded resource cap: {exc}", partial=c.id)],
         )

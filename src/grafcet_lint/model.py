@@ -107,10 +107,6 @@ class PartialGrafcet(Record):
         return {s: tuple(ts) for s, ts in table.items()}
 
     @cached_property
-    def source_transitions(self) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.is_source)
-
-    @cached_property
     def forcings(self) -> tuple[ForcingAction, ...]:
         return tuple(a for a in self.actions if isinstance(a, ForcingAction))
 

@@ -48,9 +48,7 @@ def analyze_spec(spec: GrafcetSpec) -> AnalysisResult:
     with timed("hierarchy"):
         graph, hier_findings = hierarchy.build_hierarchy(spec)
         findings.extend(hier_findings)
-        situations = {
-            c.id: hierarchy.initial_situations(spec, graph, c.id) for c in spec.partials
-        }
+        situations = hierarchy.initial_situations(spec, graph)
         findings.extend(hierarchy.dead_partial_findings(situations))
 
     with timed("reachconc"):
@@ -81,7 +79,7 @@ def analyze_spec(spec: GrafcetSpec) -> AnalysisResult:
             findings.extend(inv_findings)
 
     with timed("varapprox"):
-        bounds = varapprox.bound_executions(spec, inv_by_partial, results)
+        bounds = varapprox.bound_executions(spec, graph, inv_by_partial, results)
         variables = varapprox.approximate_variables(spec, bounds)
 
     with timed("checks"):

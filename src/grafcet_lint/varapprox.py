@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .hierarchy import HierarchyGraph
 from .invariants import InvariantSet
 from .model import ContinuousAction, GrafcetSpec, StoredAction
 from .reachconc import ReachConcResult
@@ -45,6 +46,7 @@ class VarApprox(Record):
 
 def bound_executions(
     spec: GrafcetSpec,
+    graph: HierarchyGraph,
     invariants: dict[str, InvariantSet],
     results: dict[str, list[ReachConcResult]],
 ) -> dict[ActionKey, ExecutionBound]:
@@ -52,57 +54,39 @@ def bound_executions(
 
     An enclosed or forced partial Grafcet restarts whenever its anchor step
     re-activates, so each entry mode's contribution is weighted by the
-    anchor step's own activation bound, resolved recursively through the
-    hierarchy (the dependency graph is a partial order, so this terminates;
-    on a cyclic hierarchy the weight degrades to infinity).
+    anchor step's own activation bound. Partials are bounded in
+    ``graph.order``, so on a partial order every anchor is bounded before
+    the partials it enters. On a cyclic hierarchy that order is declaration
+    order, and an anchor that is not bounded yet counts as unbounded.
     """
-    loops = {c.id: _loop_transitions(c, invariants[c.id]) for c in spec.partials}
-    cache: dict[tuple[str, str], tuple[float, tuple[str, ...]]] = {}
-    visiting: set[tuple[str, str]] = set()
-
-    def step_bound(pid: str, step: str) -> tuple[float, tuple[str, ...]]:
-        key = (pid, step)
-        if key in cache:
-            return cache[key]
-        if key in visiting:
-            return math.inf, ("hierarchy-cycle",)
-        visiting.add(key)
-        result = _step_bound(pid, step)
-        visiting.discard(key)
-        cache[key] = result
-        return result
-
-    def _step_bound(pid: str, step: str) -> tuple[float, tuple[str, ...]]:
+    done: dict[str, dict[str, tuple[float, tuple[str, ...]]]] = {}
+    for pid in graph.order:
         c = spec.partial_map[pid]
         inv = invariants[pid]
-        reachable_in = [r for r in results.get(pid, []) if step in r.reachable]
-        if not reachable_in:
-            return 0, ("unreachable",)
-        if not inv.covered:
-            # An uncovered partial Grafcet is treated as unbounded as a
-            # whole; its activation counts cannot be certified.
-            return math.inf, ("uncovered-s-invariant" if step in inv.uncovered_steps
-                              else "uncovered-partial",)
-        if any(t.id in loops[pid] for t in c.upstream_of[step]):
-            return math.inf, ("t-invariant-loop",)
-        total = 0.0
-        for r in reachable_in:
-            sit = r.situation
-            if sit.source == "initial-steps":
-                entries: float = 1
+        loops = _loop_transitions(c, inv)
+        own = done[pid] = {}
+        # Only action steps (forcing orders are actions) and anchors are read.
+        for step in {a.step for a in c.actions} | {s for s, _ in c.enclosings}:
+            entered_by = [r.situation for r in results[pid] if step in r.reachable]
+            if not entered_by:
+                own[step] = 0, ("unreachable",)
+            elif not inv.covered:
+                # An uncovered partial Grafcet is treated as unbounded as a
+                # whole; its activation counts cannot be certified.
+                own[step] = math.inf, ("uncovered-s-invariant" if step in inv.uncovered_steps
+                                       else "uncovered-partial",)
+            elif any(t.id in loops for t in c.upstream_of[step]):
+                own[step] = math.inf, ("t-invariant-loop",)
             else:
-                entries, _ = step_bound(sit.from_partial, sit.from_step)
-            total += entries * inv.bound * len(sit.steps)
-        if total == math.inf:
-            return math.inf, ("unbounded-entry",)
-        return total, ("bound-times-initial",)
-
-    bounds: dict[ActionKey, ExecutionBound] = {}
-    for c in spec.partials:
-        for i, a in enumerate(c.actions):
-            count, reasons = step_bound(c.id, a.step)
-            bounds[(c.id, i)] = ExecutionBound(a.step, count, reasons)
-    return bounds
+                total = 0.0
+                for sit in entered_by:
+                    entries = (1 if sit.source == "initial-steps" else
+                               done.get(sit.from_partial, {}).get(sit.from_step, (math.inf,))[0])
+                    total += entries * inv.bound * len(sit.steps)
+                own[step] = ((math.inf, ("unbounded-entry",)) if total == math.inf
+                             else (total, ("bound-times-initial",)))
+    return {(c.id, i): ExecutionBound(a.step, *done[c.id][a.step])
+            for c in spec.partials for i, a in enumerate(c.actions)}
 
 
 def _loop_transitions(c, inv: InvariantSet) -> set[str]:

@@ -7,7 +7,8 @@ plus occasional balanced split/join pairs and sinks), so the explicit-state
 oracle usually terminates; a small fraction carries a source transition or
 an unbalanced split, which the oracle may report as inconclusive.
 ``random_spec`` leaves forcing orders out; ``random_forcing_spec`` adds one
-to a two-partial spec.
+to a two-partial spec. ``random_hierarchy_spec`` joins 2-7 partials by
+enclosings and forcing orders; the oracle is not meant to explore those.
 """
 
 import random
@@ -64,6 +65,46 @@ def random_forcing_spec(rng: random.Random):
     source.setdefault("actions", []).append({
         "kind": "forcing", "step": rng.choice(source["steps"])["id"],
         "target": target["id"], "situation": situation})
+    return parse_spec(doc)
+
+
+def random_hierarchy_spec(rng: random.Random):
+    """2-7 partials joined by random enclosings and forcing orders (into
+    ``*``, ``init`` or a step list), declared in shuffled order. Each partial
+    after the first has a superior earlier in the draw; about one spec in
+    four also gets an edge back to such a superior, which closes a cycle."""
+    n = rng.randint(2, 7)
+    partials = []
+    for i in range(n):
+        p = _random_partial(rng, f"P{i}", "s", rng.randint(2, 4),
+                            initial=i == 0 or rng.random() < 0.3, max_transitions=4)
+        rng.choice(p["steps"])["marked"] = True
+        _add_actions(rng, p)
+        partials.append(p)
+    pairs = [(rng.randrange(j), j) for j in range(1, n)]
+    pairs += [(rng.randrange(j), j) for j in range(1, n) if rng.random() < 0.3]
+    if rng.random() < 0.25:
+        pairs.append(rng.choice(pairs)[::-1])
+    for i, j in pairs:
+        source, target = partials[i], partials[j]
+        step = rng.choice(source["steps"])["id"]
+        if rng.random() < 0.5:
+            source.setdefault("enclosings", []).append({"step": step, "target": target["id"]})
+            continue
+        situation = rng.choice(("*", "init", [], [rng.choice(target["steps"])["id"]]))
+        source.setdefault("actions", []).append({
+            "kind": "forcing", "step": step, "target": target["id"],
+            "situation": situation})
+    rng.shuffle(partials)
+    doc = {
+        "name": "hierarchy",
+        "variables": [
+            {"name": "x", "kind": "input", "type": "bool"},
+            {"name": "k", "kind": "internal", "type": "int", "init": 0},
+            {"name": "flag", "kind": "internal", "type": "bool", "init": 0},
+        ],
+        "partials": partials,
+    }
     return parse_spec(doc)
 
 

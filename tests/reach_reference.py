@@ -19,13 +19,17 @@ def _grow(conc, s, others):
     return new | {s} if new else new
 
 
+def _sources(c):
+    return [t for t in c.transitions if t.is_source]
+
+
 def _pass(c, initial, source_seed):
     conc = {s: set(initial - {s}) if s in initial else set() for s in c.steps}
-    for t in c.source_transitions:
+    for t in _sources(c):
         for s in t.downstream:
             _grow(conc, s, source_seed)
     reachable = set(initial)
-    queue = deque(c.source_transitions)
+    queue = deque(_sources(c))
     pending = {t.id for t in queue}
 
     def enqueue(steps):
@@ -56,6 +60,6 @@ def _pass(c, initial, source_seed):
 def reach_analysis_reference(c, initial):
     """(S^R, concurrency sets) of partial ``c`` from the steps ``initial``."""
     reachable, conc = _pass(c, initial, frozenset())
-    if c.source_transitions:
+    if _sources(c):
         reachable, conc = _pass(c, initial, frozenset(reachable))
     return reachable, conc

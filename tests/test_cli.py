@@ -302,6 +302,13 @@ def _coactive_sidecar(value):
                  id="action-kind-unknown"),
     pytest.param(_fig5_partial_with(actions=[5]), None, "actions[0]: expected an object",
                  id="action-number"),
+    pytest.param(_fig5_with_init(b"true"), None, "init must be an integer", id="init-bool"),
+    pytest.param(None, b'{"queries": [{"kind": "never-coactive", "b": {"var": "k"},'
+                       b' "a": {"var": "k", "valeu": false}}]}',
+                 "term 'a': unknown field 'valeu'", id="sidecar-term-misspelled-value"),
+    pytest.param(_fig5_with(queries=[{"kind": "never-concurrent", "nmae": "q",
+                                      "steps": ["c.s1", "c.s2"]}]), None,
+                 "unknown field 'nmae'", id="embedded-query-extra-member"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, spec, sidecar, message):
     path = tmp_path / "spec.grafcet.json"

@@ -78,9 +78,10 @@ class TestParsing:
             parse_condition(text)
 
     def test_error_position(self):
-        with pytest.raises(CondParseError) as exc:
-            parse_condition("a & $")
-        assert exc.value.pos == 4
+        for text, pos in (("a & $", 4), ("a & Y.b", 4), ("re(Y.b)", 3), ("Y.b", 0)):
+            with pytest.raises(CondParseError) as exc:
+                parse_condition(text)
+            assert exc.value.pos == pos, text
 
     def test_edge_of_integer_is_type_error(self):
         with pytest.raises(CondTypeError):

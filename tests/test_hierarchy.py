@@ -12,10 +12,10 @@ def test_fig1_enclosing_edge(load_fixture):
     spec = load_fixture("fig1.grafcet.json")
     graph, findings = build_hierarchy(spec)
     assert findings == []
-    assert graph.is_partial_order
+    assert graph.cycle is None
     (edge,) = graph.edges
     assert (edge.source, edge.target, edge.kind, edge.step) == ("G0", "G1", "enclosing", "1")
-    sits = initial_situations(spec, graph, "G1")
+    sits = initial_situations(spec, graph)["G1"]
     assert [s.source for s in sits] == ["enclosing"]
     assert sits[0].steps == frozenset({"2"})
     assert sits[0].label == "enclosing:G0.1"
@@ -25,7 +25,7 @@ def test_fig4_forcing_situation(load_fixture):
     spec = load_fixture("fig4.grafcet.json")
     graph, findings = build_hierarchy(spec)
     assert findings == []
-    sits = initial_situations(spec, graph, "c")
+    sits = initial_situations(spec, graph)["c"]
     assert len(sits) == 1
     assert sits[0].source == "forcing"
     assert sits[0].steps == frozenset({"s3", "s4", "s5"})
@@ -41,7 +41,7 @@ def test_g_rit_topology(load_fixture):
     assert order.index("G_OM") < order.index("G_RIT") < order.index("G10")
     # Every station is entered through exactly one enclosing edge.
     for i in range(1, 8):
-        sits = initial_situations(spec, graph, f"G{i}0")
+        sits = initial_situations(spec, graph)[f"G{i}0"]
         assert [s.source for s in sits] == ["enclosing"]
         assert sits[0].steps == frozenset({"a"})
 
@@ -57,7 +57,7 @@ def test_cycle_detection():
         ],
     })
     graph, findings = build_hierarchy(spec)
-    assert not graph.is_partial_order
+    assert graph.cycle is not None
     assert [f.kind for f in findings] == ["hierarchy-cycle"]
     assert set(graph.cycle) >= {"A", "B"}
 
@@ -76,7 +76,7 @@ def test_multiple_entry_modes():
         ],
     })
     graph, _ = build_hierarchy(spec)
-    sits = initial_situations(spec, graph, "C")
+    sits = initial_situations(spec, graph)["C"]
     assert sorted(s.source for s in sits) == ["enclosing", "forcing", "initial-steps"]
     # The "init" forcing re-enters through C's initial steps.
     forcing = next(s for s in sits if s.source == "forcing")
@@ -94,7 +94,7 @@ def test_freezing_forcing_adds_no_situation_and_dead_partials():
         ],
     })
     graph, _ = build_hierarchy(spec)
-    assert initial_situations(spec, graph, "B") == []
-    dead = dead_partial_findings(
-        {c.id: initial_situations(spec, graph, c.id) for c in spec.partials})
+    situations = initial_situations(spec, graph)
+    assert situations["B"] == []
+    dead = dead_partial_findings(situations)
     assert [(f.kind, f.partial) for f in dead] == [("dead-partial", "B")]

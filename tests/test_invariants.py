@@ -175,7 +175,6 @@ def test_long_cycle_within_default_cap():
 def test_cap_surfaces_as_incomplete_finding(load_fixture):
     spec = load_fixture("fig2_g6.grafcet.json")
     inv, findings = compute_invariants(spec.partial_map["G6"], cap=1)
-    assert inv.incomplete
     assert not inv.covered and inv.bound == math.inf
     assert [f.kind for f in findings] == ["analysis-incomplete"]
 

@@ -2,8 +2,15 @@
 
 import json
 import math
+import random
 
-from grafcet_lint import analyze_spec, parse_spec
+import pytest
+from bound_reference import bound_executions_reference
+from conftest import corpus_path
+from randspec import random_forcing_spec, random_hierarchy_spec, random_spec
+
+from grafcet_lint import analyze_spec, load_spec, parse_spec, serialize
+from grafcet_lint.cli import main
 from grafcet_lint.varapprox import classify_stored_value
 
 
@@ -144,3 +151,85 @@ def test_monotone_in_the_bound():
     lo_s, hi_s = small.variables["k"].interval
     lo_l, hi_l = large.variables["k"].interval
     assert lo_l <= lo_s and hi_l >= hi_s
+
+
+def _compare_with_reference(spec):
+    """Bounds equal the recursive reference's on an acyclic hierarchy. On a
+    cyclic one, an anchor bounded later in declaration order counts as
+    unbounded, so a bound may only be coarser. Returns the analysis and
+    whether the hierarchy is cyclic."""
+    result = analyze_spec(spec)
+    reference = bound_executions_reference(spec, result.invariants, result.results)
+    cyclic = any(f.kind == "hierarchy-cycle" for f in result.findings)
+    if not cyclic:
+        assert result.bounds == reference, serialize(spec)
+    for key, bound in reference.items():
+        assert result.bounds[key].count >= bound.count, (key, serialize(spec))
+    return result, cyclic
+
+
+def test_bounds_match_recursive_reference():
+    for path in sorted(corpus_path("").glob("*.grafcet.json")):
+        assert not _compare_with_reference(load_spec(path))[1]
+    rng = random.Random(7)
+    for _ in range(300):
+        assert not _compare_with_reference(random_spec(rng))[1]
+    rng = random.Random(2026)
+    # A forcing order back into the encloser closes a cycle in 85 of these;
+    # 3 of them get a coarser bound.
+    for _ in range(300):
+        _compare_with_reference(random_forcing_spec(rng))
+
+
+def test_bounds_match_reference_on_random_hierarchies():
+    rng = random.Random(15)
+    acyclic = cyclic = weighted = 0
+    for _ in range(700):
+        result, is_cyclic = _compare_with_reference(random_hierarchy_spec(rng))
+        if is_cyclic:
+            cyclic += 1
+            continue
+        acyclic += 1
+        entered = {pid for pid, rs in result.results.items()
+                   if any(r.situation.source != "initial-steps" for r in rs)}
+        weighted += any(0 < b.count < math.inf and pid in entered
+                        for (pid, _), b in result.bounds.items())
+    assert acyclic >= 500 and cyclic >= 100
+    assert weighted >= 100  # specs with a finite bound in an entered partial
+
+
+def _chain(depth, kind):
+    """``depth`` one-step partials, each entering the next through an
+    enclosing or a forcing order into its step; the last stores ``k``."""
+    partials = []
+    for i in range(depth):
+        p = {"id": f"P{i}", "steps": [{"id": "1", "initial" if i == 0 else "marked": True}]}
+        if i + 1 == depth:
+            p["actions"] = [{"kind": "stored", "step": "1", "var": "k", "value": "1"}]
+        elif kind == "enclosing":
+            p["enclosings"] = [{"step": "1", "target": f"P{i + 1}"}]
+        else:
+            p["actions"] = [{"kind": "forcing", "step": "1", "target": f"P{i + 1}",
+                             "situation": ["1"]}]
+        partials.append(p)
+    if kind == "forcing":
+        partials.reverse()  # deepest first, so a lookup on demand recurses all the way
+    return {"name": f"{kind}-chain",
+            "variables": [{"name": "k", "kind": "internal", "type": "int", "init": 0}],
+            "partials": partials}
+
+
+@pytest.mark.parametrize("kind", ["enclosing", "forcing"])
+def test_thousand_deep_chain_bounds_every_action_once(tmp_path, capsys, kind):
+    doc = _chain(1000, kind)
+    path = tmp_path / "chain.grafcet.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--format", "json", "--no-timings"]) == 0
+    bounds = json.loads(capsys.readouterr().out)["execution_bounds"]
+    assert len(bounds) == (1 if kind == "enclosing" else 1000)
+    assert {b["count"] for b in bounds.values()} == {1}
+    # Resolving anchors by recursion runs out of stack on the same spec.
+    spec = parse_spec(doc)
+    result = analyze_spec(spec)
+    with pytest.raises(RecursionError):
+        bound_executions_reference(spec, result.invariants, result.results)
