@@ -5,17 +5,23 @@ one row per step and one column per transition, entries in {-1, 0, +1}.
 Invariants are computed with Farkas-style elimination over exact integers:
 S-invariants are semi-positive vectors y with y^T N = 0, T-invariants are
 semi-positive x with N x = 0, both reduced to minimal support and GCD 1.
-The rows live in one insertion-ordered dict: eliminating a column deletes
-the rows it combines and inserts the combined ones, so only new rows are
-hashed, and the cost on a cyclic chain grows quadratically, not cubically.
+Each Farkas row is sparse: a dict of its nonzero identity entries and one of
+its nonzero matrix entries. A column-to-row index finds the rows a column
+combines without scanning the others, a combination walks the smaller of its
+two rows (in place when no other combination reads the larger), and equal
+rows are dropped by a fingerprint of the identity part. Columns are still
+eliminated in order, so the cap counts what a dense elimination would: the
+rows kept plus every combined row. A cyclic chain of n steps costs O(n) row
+updates after the O(n^2) read of its dense matrix.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import cached_property
+from itertools import compress
 from math import gcd
-from operator import add
 
 from .findings import Finding, finding
 from .model import PartialGrafcet
@@ -49,68 +55,130 @@ def incidence(c: PartialGrafcet) -> list[list[int]]:
     return matrix
 
 
-def minimal_invariants(matrix: list[list[int]], cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+def minimal_invariants(matrix: Sequence[Sequence[int]], cap: int = DEFAULT_CAP
+                       ) -> list[tuple[int, ...]]:
     """Minimal-support semi-positive integer vectors y with y . rows(matrix) = 0.
 
     Farkas elimination: rows of [matrix | I] are combined pairwise to cancel
-    each column; identity parts of surviving rows are the invariants.
+    each column in turn; identity parts of surviving rows are the invariants.
     """
     nrows = len(matrix)
     if nrows == 0:
         return []
-    ncols = len(matrix[0])
-    zeros = (0,) * nrows
-    # Insertion order is row order; a repeat keeps its first-seen place.
-    rows = dict.fromkeys(tuple(matrix[i]) + zeros[:i] + (1,) + zeros[i + 1:]
-                         for i in range(nrows))
-    for j in range(ncols):
-        positive = [r for r in rows if r[j] > 0]
-        negative = [r for r in rows if r[j] < 0]
-        for r in positive + negative:
-            del rows[r]
-        count = len(rows)  # kept rows plus combined rows so far, repeats included
-        for rp in positive:
-            b = rp[j]
-            for rn in negative:
-                a = -rn[j]
-                sp = rp if a == 1 else map(a.__mul__, rp)
-                sn = rn if b == 1 else map(b.__mul__, rn)
-                rows.setdefault(_normalize(tuple(map(add, sp, sn))))
-                count += 1
-                if count > cap:
-                    raise InvariantCapExceeded(
-                        f"more than {cap} intermediate invariant rows"
-                    )
-    # Every row is normalized and its matrix part is now zero, so its identity
-    # part is a nonzero vector with GCD 1.
-    return _minimal_support({r[ncols:] for r in rows})
-
-
-def _normalize(vector: tuple[int, ...]) -> tuple[int, ...]:
-    """Divide a nonzero vector by its entries' GCD. Farkas rows are never zero:
-    each identity part starts as a unit vector, and a*rp + b*rn with a, b > 0
-    of two nonzero semi-positive parts is nonzero."""
-    g = gcd(*vector)
-    if g == 1:
-        return vector
-    return tuple(v // g for v in vector)
-
-
-def _support(v):
-    return frozenset(i for i, x in enumerate(v) if x)
-
-
-def _minimal_support(vectors: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    vectors = sorted(vectors)
-    supports = [_support(v) for v in vectors]
-    out = []
-    for i, v in enumerate(vectors):
-        if any(j != i and supports[j] < supports[i] for j in range(len(vectors))):
+    columns = list(range(len(matrix[0])))  # a list: compress then reuses its ints
+    # Live rows by id, each [identity part, matrix part, fingerprint]. The
+    # fingerprint is the identity part's dot product with fixed pseudo-random
+    # weights (the hashes of 1-tuples, which no hash seed changes), so it
+    # follows every combination in O(1) and equal identity parts have equal
+    # fingerprints; rows with equal fingerprints are compared in full.
+    rows: dict[int, list] = {}
+    by_column: list = [[] for _ in columns]  # ids of rows nonzero there, dead ones too
+    by_print: dict[int, list[int]] = {}  # ids of live rows by fingerprint
+    for i, line in enumerate(matrix):
+        part = {}
+        for j in compress(columns, line):
+            part[j] = line[j]
+            by_column[j].append(i)
+        weight = hash((i,))
+        rows[i] = [{i: 1}, part, weight]
+        by_print.setdefault(weight, []).append(i)
+    next_id = nrows
+    for j in columns:
+        positive, negative = [], []
+        # An id can be listed twice: a row updated in place can lose a column
+        # and regain it.
+        for i in dict.fromkeys(by_column[j]):
+            row = rows.get(i)
+            if row is not None and (v := row[1].get(j)):
+                (positive if v > 0 else negative).append((i, row))
+        by_column[j] = None
+        for i, row in positive + negative:
+            del rows[i]
+            same = by_print[row[2]]
+            if len(same) == 1:
+                del by_print[row[2]]
+            else:
+                same.remove(i)
+        if not (positive and negative):
             continue
-        out.append(v)
-    # Canonical order: lexicographic by support, then by entries.
-    out.sort(key=lambda v: (sorted(_support(v)), v))
-    return out
+        # Kept rows plus every combined row, repeats included.
+        if len(rows) + len(positive) * len(negative) > cap:
+            raise InvariantCapExceeded(f"more than {cap} intermediate invariant rows")
+        positive_once = len(negative) == 1  # read by one combination only
+        negative_once = len(positive) == 1
+        for pi, rp in positive:
+            b = rp[1][j]
+            for ni, rn in negative:
+                a = -rn[1][j]
+                # a*rp + b*rn: start from the larger row and walk the smaller;
+                # a row no other combination reads is updated in place.
+                if len(rp[0]) + len(rp[1]) >= len(rn[0]) + len(rn[1]):
+                    x, cx, y, cy, i, own = rp, a, rn, b, pi, positive_once
+                else:
+                    x, cx, y, cy, i, own = rn, b, rp, a, ni, negative_once
+                if cx != 1:
+                    ident = {k: cx * v for k, v in x[0].items()}
+                    part = {k: cx * v for k, v in x[1].items()}
+                elif own:
+                    ident, part = x[0], x[1]
+                else:
+                    ident, part = x[0].copy(), x[1].copy()
+                for k, v in y[0].items():
+                    ident[k] = ident.get(k, 0) + cy * v
+                added = []
+                for k, v in y[1].items():
+                    w = part.get(k)
+                    if w is None:
+                        part[k] = cy * v
+                        added.append(k)
+                    elif w + cy * v:
+                        part[k] = w + cy * v
+                    else:
+                        del part[k]
+                fingerprint = cx * x[2] + cy * y[2]
+                # The matrix part is a combination of the matrix rows with the
+                # identity part as weights, so the identity's GCD divides it.
+                values = ident.values()
+                if 1 not in values:
+                    g = gcd(*values)
+                    if g > 1:
+                        for k in ident:
+                            ident[k] //= g
+                        for k in part:
+                            part[k] //= g
+                        fingerprint //= g
+                same = by_print.get(fingerprint)
+                if same is not None and any(rows[s][0] == ident for s in same):
+                    continue
+                if own:
+                    x[0], x[1], x[2] = ident, part, fingerprint
+                else:
+                    i = next_id
+                    next_id += 1
+                    x = [ident, part, fingerprint]
+                    added = part
+                rows[i] = x
+                if same is None:
+                    by_print[fingerprint] = [i]
+                else:
+                    same.append(i)
+                for k in added:
+                    by_column[k].append(i)
+    # Every matrix part is now zero; identity parts are nonzero with GCD 1.
+    # Keep the rows whose support holds no other row's support.
+    masks = [sum(map((1).__lshift__, ident)) for ident, _, _ in rows.values()]
+    supports = set(masks)
+    found = []
+    for (ident, _, _), mask in zip(rows.values(), masks):
+        if any(m != mask and m & mask == m for m in supports):
+            continue
+        vector = [0] * nrows
+        for k, v in ident.items():
+            vector[k] = v
+        # Canonical order: lexicographic by support, then by entries.
+        found.append((sorted(ident), tuple(vector)))
+    found.sort()
+    return [vector for _, vector in found]
 
 
 class InvariantSet(Record):
@@ -133,18 +201,33 @@ class InvariantSet(Record):
         return max(self.per_step_bound.values(), default=1)
 
 
-def compute_invariants(c: PartialGrafcet, cap: int = DEFAULT_CAP
-                       ) -> tuple[InvariantSet, list[Finding]]:
-    matrix = incidence(c)
-    try:
-        s_invs = tuple(minimal_invariants(matrix, cap))
-        t_invs = tuple(minimal_invariants([list(col) for col in zip(*matrix)], cap))
-    except InvariantCapExceeded as exc:
+def compute_invariants(c: PartialGrafcet, cap: int = DEFAULT_CAP,
+                       solved: dict | None = None) -> tuple[InvariantSet, list[Finding]]:
+    """S- and T-invariants of one partial and its per-step bounds.
+
+    ``solved`` maps an incidence matrix (a tuple of row tuples) to its S- and
+    T-invariants, or to the message of the cap it exceeded, for one ``cap``.
+    Passing one dict for every partial of a spec solves each distinct matrix
+    once; the bounds and the finding are still the partial's own.
+    """
+    if solved is None:
+        solved = {}
+    matrix = tuple(map(tuple, incidence(c)))
+    result = solved.get(matrix)
+    if result is None:
+        try:
+            result = (tuple(minimal_invariants(matrix, cap)),
+                      tuple(minimal_invariants(tuple(zip(*matrix)), cap)))
+        except InvariantCapExceeded as exc:
+            result = str(exc)
+        solved[matrix] = result
+    if isinstance(result, str):
         return (
             InvariantSet((), (), {s: math.inf for s in c.steps}),
             [finding("analysis-incomplete", "warning",
-                     f"invariant computation exceeded resource cap: {exc}", partial=c.id)],
+                     f"invariant computation exceeded resource cap: {result}", partial=c.id)],
         )
+    s_invs, t_invs = result
     return InvariantSet(s_invs, t_invs, classify_boundedness(s_invs, c)), []
 
 

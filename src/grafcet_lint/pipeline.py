@@ -73,8 +73,9 @@ def analyze_spec(spec: GrafcetSpec) -> AnalysisResult:
 
     with timed("invariants"):
         inv_by_partial = {}
+        solved: dict = {}  # partials with one incidence matrix are solved once
         for c in spec.partials:
-            inv, inv_findings = invariants.compute_invariants(c)
+            inv, inv_findings = invariants.compute_invariants(c, solved=solved)
             inv_by_partial[c.id] = inv
             findings.extend(inv_findings)
 

@@ -1,12 +1,19 @@
 """Incidence matrices and minimal semi-positive invariants."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
+from conftest import corpus_path
+from farkas_reference import minimal_invariants_reference
 from invariant_oracle import brute_force_invariants
+from randspec import random_spec
 
+from grafcet_lint import analyze_spec, invariants, load_spec, parse_spec
 from grafcet_lint.invariants import (
+    DEFAULT_CAP,
     InvariantCapExceeded,
     InvariantSet,
     classify_boundedness,
@@ -186,3 +193,114 @@ def test_classify_boundedness_empty(load_fixture):
     assert per_step == {"1": 1}
     inv = InvariantSet(((1,),), (), per_step)
     assert inv.covered and inv.bound == 1 and not inv.uncovered_steps
+
+
+def _solution(solver, matrix):
+    """The solver's vectors and its smallest passing cap, or None if even
+    DEFAULT_CAP does not pass. A cap that passes passes every larger cap."""
+    try:
+        vectors = solver(matrix)
+    except InvariantCapExceeded:
+        return None
+    low, high = 0, DEFAULT_CAP
+    while low < high:
+        cap = (low + high) // 2
+        try:
+            solver(matrix, cap=cap)
+            high = cap
+        except InvariantCapExceeded:
+            low = cap + 1
+    return vectors, low
+
+
+def _s_and_t(c):
+    matrix = incidence(c)
+    return [matrix, [list(col) for col in zip(*matrix)]]
+
+
+def _reference_matrices():
+    rng = random.Random(16)
+    for _ in range(520):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        yield [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)]
+    compound = Path(__file__).with_name("compound.grafcet.json")
+    for path in sorted(corpus_path("").glob("*.grafcet.json")) + [compound]:
+        for c in load_spec(path).partials:
+            yield from _s_and_t(c)
+    rng = random.Random(17)
+    partials = []
+    while len(partials) < 200:
+        partials.extend(random_spec(rng).partials)
+    for c in partials[:200]:
+        yield from _s_and_t(c)
+
+
+def test_sparse_elimination_matches_dense_reference():
+    # Same vectors, same rows counted against the cap: the sparse rows must
+    # eliminate the same columns in the same order and keep the same rows.
+    for matrix in _reference_matrices():
+        assert _solution(minimal_invariants, matrix) == \
+            _solution(minimal_invariants_reference, matrix), matrix
+
+
+def _counting(monkeypatch):
+    calls = []
+    solve = invariants.minimal_invariants
+
+    def counted(matrix, cap=DEFAULT_CAP):
+        calls.append(len(matrix))
+        return solve(matrix, cap)
+
+    monkeypatch.setattr(invariants, "minimal_invariants", counted)
+    return calls
+
+
+def test_g_rit_solves_each_distinct_matrix_once(monkeypatch, load_fixture):
+    # Nine partials: G_RIT and eight 2-step cycles with one incidence matrix.
+    calls = _counting(monkeypatch)
+    result = analyze_spec(load_fixture("g_rit.grafcet.json"))
+    assert len(calls) == 4
+    for c in result.spec.partials:
+        assert list(result.invariants[c.id].per_step_bound) == list(c.steps)
+    assert result.invariants["G_OM"].per_step_bound == {"1": 1, "3": 1}
+
+
+def _fig5_twice():
+    """fig5 with a second root partial "d" whose incidence matrix equals c's."""
+    doc = json.loads(corpus_path("fig5.grafcet.json").read_text())
+    c = doc["partials"][0]
+    rename = {step["id"]: "u" + step["id"][1:] for step in c["steps"]}
+    doc["partials"].append({
+        "id": "d",
+        "steps": [dict(step, id=rename[step["id"]]) for step in c["steps"]],
+        "transitions": [
+            {"id": "v" + t["id"][1:], "from": [rename[s] for s in t["from"]],
+             "to": [rename[s] for s in t["to"]]}
+            for t in c["transitions"]
+        ],
+    })
+    return parse_spec(doc)
+
+
+def test_equal_matrices_keep_their_own_step_bounds(monkeypatch):
+    calls = _counting(monkeypatch)
+    result = analyze_spec(_fig5_twice())
+    assert len(calls) == 2
+    assert result.invariants["c"].per_step_bound == \
+        {"s1": 2, "s2": 2, "s3": 1, "s4": 1, "s5": 1}
+    assert result.invariants["d"].per_step_bound == \
+        {"u1": 2, "u2": 2, "u3": 1, "u4": 1, "u5": 1}
+
+
+def test_shared_cap_hit_names_each_partial(monkeypatch):
+    calls = _counting(monkeypatch)
+    compute = invariants.compute_invariants
+    monkeypatch.setattr(invariants, "compute_invariants",
+                        lambda c, **kw: compute(c, cap=1, **kw))
+    result = analyze_spec(_fig5_twice())
+    assert len(calls) == 1  # the S matrix exceeds the cap; c and d share it
+    incomplete = [f for f in result.findings if f.kind == "analysis-incomplete"]
+    assert sorted(f.partial for f in incomplete) == ["c", "d"]
+    assert all(inv.per_step_bound == dict.fromkeys(result.spec.partial_map[pid].steps,
+                                                   math.inf)
+               for pid, inv in result.invariants.items())
