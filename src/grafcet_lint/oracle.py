@@ -16,7 +16,10 @@ Exploration both fires single transitions and simultaneous non-conflicting
 sets (no two fired transitions share an upstream step), unioning the
 observed facts, so the oracle stays conservative with respect to either
 interpretation of GRAFCET's evolution rules. Activation events are visited
-in step-index order, so the results do not depend on string hashing.
+in step-index order, so the results do not depend on string hashing. Each
+transition is indexed under its lowest upstream step, so a state tests only
+the transitions of its active steps (and the source transitions), still in
+declaration order.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ def _bits(mask: int):
 
 
 class _World:
-    """Static tables shared by the whole exploration. Step ``i`` of the dense
-    numbering is bit ``1 << i`` of a state's active mask."""
+    """Static tables shared by the whole exploration, plus the stored-action
+    results it memoises. Step ``i`` of the dense numbering is bit ``1 << i``
+    of a state's active mask."""
 
     def __init__(self, spec: GrafcetSpec, partials: list[PartialGrafcet], mode: str,
                  track_activations: tuple[str, ...] = ()):
@@ -140,6 +144,17 @@ class _World:
                     mask(c, t.upstream), mask(c, t.downstream), holds[c.id],
                     wake if t.is_source else 0,
                     t.condition if mode == "semantic" else None))
+        # Transition ``n`` is bit ``1 << n``, in declaration order:
+        # candidates[i] holds the transitions whose lowest upstream step is
+        # ``i``, so only those of active steps are tested; sources holds the
+        # transitions without upstream steps.
+        self.candidates = [0] * len(self.gids)
+        self.sources = 0
+        for n, (up, *_) in enumerate(self.transitions):
+            if up:
+                self.candidates[(up & -up).bit_length() - 1] |= 1 << n
+            else:
+                self.sources |= 1 << n
 
         self.stored_vars = sorted({a.var for _, _, a in stored})
         self.cont_vars = sorted({var for _, var in self.continuous})
@@ -177,6 +192,9 @@ class _World:
         # or count activations.
         self.watched = sum(1 << i for i in {*self.on_activation, *self.on_deactivation,
                                              *self.track_at})
+        # (values, events, which triggered actions run in semantic mode) ->
+        # the valuations ``_run_triggers`` returns; filled while exploring.
+        self.trigger_results: dict[tuple, list[tuple]] = {}
 
 
 def explore(
@@ -295,8 +313,8 @@ def _settle_hierarchy(world, prev_active, active):
     activity: the fired changes in index order, then the hierarchy's in the
     order applied."""
     watched = world.watched
-    events = [(i, 1 if active >> i & 1 else -1)
-              for i in _bits((prev_active ^ active) & watched)]
+    changed = (prev_active ^ active) & watched
+    events = [(i, 1 if active >> i & 1 else -1) for i in _bits(changed)] if changed else []
     if not world.enclosings and not world.forcings:
         return active, events
     was_active = prev_active
@@ -333,8 +351,14 @@ def _settle_hierarchy(world, prev_active, active):
 
 
 def _enabled(world, active, vals, prev, inputs) -> list[tuple[int, int]]:
+    """The enabled transitions' (upstream, downstream), in declaration order."""
+    candidates = world.sources
+    for i in _bits(active):
+        candidates |= world.candidates[i]
+    transitions = world.transitions
     out = []
-    for up, down, hold, wake, cond in world.transitions:
+    for n in _bits(candidates):
+        up, down, hold, wake, cond = transitions[n]
         if active & up != up or active & hold or (wake and not active & wake):
             continue
         if cond is not None and not _eval_cond(world, cond, active, vals, prev, inputs):
@@ -379,6 +403,10 @@ def _successors(world, active, vals, track, prev, value_cap, activation_cap, fac
             if settled is None:
                 facts.inconclusive = True
                 continue
+            if not events:
+                # Nothing is triggered and no tracked step activated.
+                yield settled, vals, track, prev2
+                continue
             track2 = track
             if world.track_at:
                 counts = list(track)
@@ -401,9 +429,12 @@ def _successors(world, active, vals, track, prev, value_cap, activation_cap, fac
             yield active, vals, track, prev2
 
 
-def _firing_subsets(enabled):
+def _firing_subsets(enabled) -> list[tuple[int, int]]:
     """(upstream, downstream) unions of the non-empty subsets of enabled
-    transitions in which no two fired transitions share an upstream step."""
+    transitions in which no two fired transitions share an upstream step,
+    by size, then in the order of ``combinations``."""
+    if len(enabled) == 1:
+        return enabled
     if len(enabled) > 10:
         # Fall back to single firings plus the full set.
         candidates = [[e] for e in enabled]
@@ -411,6 +442,7 @@ def _firing_subsets(enabled):
     else:
         candidates = (s for r in range(1, len(enabled) + 1)
                       for s in combinations(enabled, r))
+    out = []
     for subset in candidates:
         used = down = 0
         for up, d in subset:
@@ -419,7 +451,8 @@ def _firing_subsets(enabled):
             used |= up
             down |= d
         else:
-            yield used, down
+            out.append((used, down))
+    return out
 
 
 def _run_triggers(world, active, vals, events, value_cap, facts, prev, inputs):
@@ -436,12 +469,20 @@ def _run_triggers(world, active, vals, events, value_cap, facts, prev, inputs):
     if not triggered:
         return [vals]
 
+    # The result depends only on the values and the actions that may run,
+    # never on the rest of the state.
+    runs = None
     if world.mode == "semantic":
-        kept = [a for a in triggered
-                if a[4] is None or _eval_cond(world, a[4], active, vals, prev, inputs)]
-        if not kept:
+        runs = tuple(a[4] is None or _eval_cond(world, a[4], active, vals, prev, inputs)
+                     for a in triggered)
+        if not any(runs):
             return [vals]
-        pools = [kept]
+    key = (vals, tuple(events), runs)
+    known = world.trigger_results.get(key)
+    if known is not None:
+        return known
+    if runs is not None:
+        pools = [[a for a, run in zip(triggered, runs) if run]]
     else:
         # Conditions havocked: any subset of the triggered actions may run.
         pools = [s for r in range(len(triggered) + 1) for s in combinations(triggered, r)]
@@ -459,4 +500,7 @@ def _run_triggers(world, active, vals, events, value_cap, facts, prev, inputs):
                 new[pos] = value
             else:
                 results[tuple(new)] = None
-    return list(results) or [vals]
+    # An overflow set ``facts.inconclusive`` above, which holds for the
+    # whole exploration, so a memoised result needs no flag.
+    out = world.trigger_results[key] = list(results) or [vals]
+    return out

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from grafcet_lint.conditions import (
     BOTH,
@@ -281,3 +281,32 @@ def test_abstract_eval_overapproximates_concrete(cond, va, vb, vx, vk, vn):
     # abstraction (a constant variable can never produce an edge).
     concrete = concrete_eval(cond, lookup, prev=lookup)
     assert concrete in abstract_eval(cond, env)
+
+
+@st.composite
+def _wide_valuations(draw):
+    """An abstract environment of Boolean sets ({F}, {T} or {F, T}) and
+    integer intervals, some with infinite ends, plus current and previous
+    concrete values inside it."""
+    env, now, prev = {}, {}, {}
+    for ref in [VarRef(n) for n in ("a", "b", "x")] + [StepRef("G1", s) for s in ("2", "s9")]:
+        env[ref] = draw(st.sampled_from((ONLY_FALSE, ONLY_TRUE, BOTH)))
+        inside = st.sampled_from(sorted(env[ref]))
+        now[ref], prev[ref] = draw(inside), draw(inside)
+    for ref in (VarRef("k"), VarRef("n")):
+        lo = draw(st.one_of(st.just(-math.inf), st.integers(-5, 5)))
+        hi = draw(st.one_of(st.just(math.inf), st.integers(max(lo, -5), 5)))
+        env[ref] = (lo, hi)
+        inside = st.integers(-15 if lo == -math.inf else lo, 15 if hi == math.inf else hi)
+        now[ref], prev[ref] = draw(inside), draw(inside)
+    return env, now, prev
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_conditions(), _wide_valuations())
+def test_abstract_eval_overapproximates_concrete_on_wide_environments(cond, valuation):
+    """Any current and previous values inside the environment, edges
+    included, give a concrete result that the abstract result contains."""
+    env, now, prev = valuation
+    concrete = concrete_eval(cond, now.__getitem__, prev=prev.__getitem__)
+    assert concrete in abstract_eval(cond, env.__getitem__)

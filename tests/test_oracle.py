@@ -2,14 +2,19 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import randspec
+from oracle_reference import enabled_reference, firing_subsets_reference
 
 import grafcet_lint
 from grafcet_lint import analyze_spec, parse_spec
 from grafcet_lint.conditions import StepRef, VarRef
-from grafcet_lint.oracle import _World, explore, explore_partial
+from grafcet_lint.oracle import _enabled, _firing_subsets, _World, explore, explore_partial
 
 
 def test_linear_chain_no_pairs():
@@ -294,3 +299,56 @@ def test_initial_state_is_stored_once():
     })
     assert explore(edge, mode="structural").states_seen == 2
     assert explore(edge, mode="semantic").states_seen == 3
+
+
+def _wide_spec():
+    """Twelve initial steps in a ring, so more than ten transitions can be
+    enabled at once; a source transition that only a marked step or the
+    enclosing step wakes; a partial frozen by a forcing order."""
+    ring = [f"w{i}" for i in range(12)]
+    return parse_spec({"name": "wide", "partials": [
+        {"id": "W", "steps": [{"id": s, "initial": True} for s in ring],
+         "transitions": [{"id": f"t{i}", "from": [s], "to": [ring[i - 1]]}
+                         for i, s in enumerate(ring)]
+                        + [{"id": "ts", "from": [], "to": ["w0"]}],
+         "enclosings": [{"step": "w0", "target": "E"}],
+         "actions": [{"kind": "forcing", "step": "w1", "target": "F",
+                      "situation": "init"}]},
+        {"id": "E", "steps": [{"id": "e1", "marked": True}, {"id": "e2"}],
+         "transitions": [{"id": "te", "from": [], "to": ["e2"]},
+                         {"id": "te2", "from": ["e2"], "to": ["e1"]}]},
+        {"id": "F", "steps": [{"id": "f1", "initial": True}, {"id": "f2"}],
+         "transitions": [{"id": "tf", "from": ["f1"], "to": ["f2"]}]},
+    ]})
+
+
+def test_indexed_successors_match_full_scan_reference():
+    """``_enabled`` visits only the transitions indexed under active steps,
+    and ``_firing_subsets`` returns a list; both must give the reference's
+    list in the reference's order, which is the oracle's search order."""
+    rng = random.Random(18)
+    specs = [_wide_spec()]
+    specs += [randspec.random_spec(rng) for _ in range(100)]
+    specs += [randspec.random_forcing_spec(rng) for _ in range(100)]
+    specs += [randspec.random_hierarchy_spec(rng) for _ in range(100)]
+    seen = Counter()
+    for spec in specs:
+        for mode in ("structural", "semantic"):
+            world = _World(spec, list(spec.partials), mode)
+            for _ in range(20):
+                # Denser masks enable more transitions at once.
+                active = 0
+                for _ in range(rng.randint(1, 4)):
+                    active |= rng.getrandbits(len(world.gids))
+                vals = tuple(rng.randint(-2, 6) for _ in world.stored_vars)
+                inputs = rng.choice(world.input_choices)
+                enabled = enabled_reference(world, active, vals, None, inputs)
+                assert _enabled(world, active, vals, None, inputs) == enabled
+                assert _firing_subsets(enabled) == list(firing_subsets_reference(enabled))
+                seen["more than 10 enabled"] += len(enabled) > 10
+                for up, _down, hold, wake, _cond in world.transitions:
+                    if active & up == up:
+                        seen["held by a forcing order"] += bool(active & hold)
+                        if wake:
+                            seen["woken" if active & wake else "asleep"] += 1
+    assert len(seen) == 4 and all(seen.values()), seen
