@@ -2,7 +2,9 @@
 
 ``oracle_digests.json`` maps each corpus and mode to the sha256 over every
 ``OracleFacts`` field of every run, ``states_seen`` and ``inconclusive``
-included, with every step tracked and ``max_states`` 8000. Inconclusive
+included, with every step tracked and ``max_states`` 8000. Each entry also
+lists every spec's own digest (12 hex characters of its record's sha256) in
+draw order, so a failure names the spec indices whose facts changed. Inconclusive
 runs count too: their facts cover only the states seen before the search
 stopped, so they pin the search order (breadth-first, transitions in
 declaration order, firing sets by size). A spec that semantic mode refuses
@@ -12,6 +14,9 @@ intended, regenerate the file and commit it with the change that explains
 it::
 
     PYTHONPATH=src python tests/test_oracle_digests.py
+
+The regenerated file's diff then shows one changed line per changed spec,
+and its index is that line's position in the entry's ``specs`` list.
 """
 
 import hashlib
@@ -60,12 +65,16 @@ def _digest(corpus: str, mode: str) -> dict:
     rng = random.Random(seed)
     sha = hashlib.sha256()
     inconclusive = refused = 0
+    specs = []
     for _ in range(count):
         record = _facts_record(generate(rng), mode)
         inconclusive += record.get("inconclusive", False)
         refused += "refused" in record
-        sha.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-    return {"sha256": sha.hexdigest(), "inconclusive": inconclusive, "refused": refused}
+        line = json.dumps(record, sort_keys=True).encode() + b"\n"
+        sha.update(line)
+        specs.append(hashlib.sha256(line).hexdigest()[:12])
+    return {"sha256": sha.hexdigest(), "inconclusive": inconclusive, "refused": refused,
+            "specs": specs}
 
 
 def _keys() -> list[str]:
@@ -78,7 +87,10 @@ def test_digests_cover_every_corpus():
 
 @pytest.mark.parametrize("key", _keys())
 def test_oracle_facts_are_unchanged(key):
-    assert _digest(*key.split()) == json.loads(DIGESTS.read_text())[key]
+    got, want = _digest(*key.split()), json.loads(DIGESTS.read_text())[key]
+    changed = [n for n, (a, b) in enumerate(zip(got["specs"], want["specs"])) if a != b]
+    assert not changed, f"facts changed on specs {changed}"
+    assert got == want
 
 
 if __name__ == "__main__":
