@@ -334,11 +334,7 @@ def _settle_hierarchy(world, prev_active, active):
                 changed = True
         for anchor, wanted, target in world.forcings:
             if not active & anchor or wanted is None:
-                if was_active & anchor and not active & anchor:
-                    was_active &= ~anchor
-                    changed = True
                 continue
-            was_active |= anchor
             forced = (active & ~target) | wanted
             if forced != active:
                 events += [(i, 1 if forced >> i & 1 else -1)

@@ -112,6 +112,55 @@ def test_anchor_enclosing_several_partials_activates_and_clears_all():
         assert b in result.global_concurrency.get(a, set())
 
 
+def _chain(pid, steps, entry=None, *, enclosings=(), forcings=()):
+    """A partial whose steps form a chain, with ``entry`` = {step: "initial"
+    or "marked"}, enclosings as (step, target) and forcing orders as (step,
+    target, situation)."""
+    return {
+        "id": pid,
+        "steps": [{"id": s, **({entry[s]: True} if s in (entry or {}) else {})}
+                  for s in steps],
+        "transitions": [{"id": f"t{n}", "from": [a], "to": [b]}
+                        for n, (a, b) in enumerate(zip(steps, steps[1:]))],
+        "enclosings": [{"step": s, "target": t} for s, t in enclosings],
+        "actions": [{"kind": "forcing", "step": s, "target": t, "situation": sit}
+                    for s, t, sit in forcings],
+    }
+
+
+def test_forced_step_that_also_encloses_starts_its_enclosed_partial():
+    # P1.a1 forces P2 into {s}; s encloses P3 and forces P4 into its initial
+    # situation. Its forcing order must not hide s's activation from its
+    # enclosing, so P3 starts at its marked step m.
+    spec = parse_spec({"name": "forced-encloser", "partials": [
+        _chain("P1", ["a1", "a2"], {"a1": "initial"}, forcings=[("a1", "P2", ["s"])]),
+        _chain("P2", ["s", "u"], enclosings=[("s", "P3")], forcings=[("s", "P4", "init")]),
+        _chain("P3", ["m", "n"], {"m": "marked"}),
+        _chain("P4", ["i", "j"], {"i": "initial"}),
+    ]})
+    facts = explore(spec)
+    assert not facts.inconclusive
+    assert {"P3.m", "P3.n"} <= facts.reachable
+    assert {"P3.m", "P3.n"} <= analyze_spec(spec).global_reachable
+
+
+def test_clearing_a_forcing_encloser_clears_its_enclosed_partial():
+    # P0 leaving s1 clears P1, and with P1.a the partial P2 that a encloses,
+    # although a also forces P3.
+    spec = parse_spec({"name": "cleared-encloser", "partials": [
+        _chain("P1", ["b", "a"], {"b": "marked"}, enclosings=[("a", "P2")],
+               forcings=[("a", "P3", "init")]),
+        _chain("P2", ["m"], {"m": "marked"}),
+        _chain("P3", ["i"], {"i": "initial"}),
+        _chain("P0", ["s1", "s2"], {"s1": "initial"}, enclosings=[("s1", "P1")]),
+    ]})
+    facts = explore(spec)
+    assert not facts.inconclusive
+    assert frozenset({"P1.a", "P2.m"}) in facts.pairs
+    assert frozenset({"P0.s2", "P2.m"}) not in facts.pairs
+    assert "P2.m" not in analyze_spec(spec).global_concurrency.get("P0.s2", set())
+
+
 def test_forcing_pins_target(load_fixture):
     spec = load_fixture("fig4.grafcet.json")
     facts = explore(spec)
