@@ -36,6 +36,10 @@ ActionKey = tuple[str, int]
 
 # Semantic mode enumerates every valuation of the Boolean inputs per state.
 MAX_BOOL_INPUTS = 6
+# A run is inconclusive once a stored value leaves -VALUE_CAP..VALUE_CAP or a
+# tracked step activates more than ACTIVATION_CAP times.
+VALUE_CAP = 64
+ACTIVATION_CAP = 12
 
 
 class OracleFacts:
@@ -99,7 +103,7 @@ class _World:
             return sum(self.bit[c.id, s] for s in steps)
 
         enclosed: dict[int, tuple[int, int]] = {}  # anchor -> (targets' marked, targets)
-        self.forcings: list[tuple[int, int | None, int]] = []  # (anchor, wanted or None, target)
+        self.forcings: list[tuple[int, int, int]] = []  # (anchor, wanted, target)
         anchors = dict.fromkeys(pmap, 0)  # partial -> anchors of edges into it
         holds = dict.fromkeys(pmap, 0)  # partial -> anchors of forcing orders on it
         stored: list[tuple[ActionKey, int, StoredAction]] = []  # (key, step bit, action)
@@ -113,11 +117,13 @@ class _World:
                     self.continuous.append((anchor, a.var))
                 elif a.target in pmap:
                     t = pmap[a.target]
-                    wanted = None if a.situation == "*" else mask(
-                        t, a.situation if isinstance(a.situation, frozenset) else t.initial)
-                    self.forcings.append((anchor, wanted, mask(t, t.steps)))
                     anchors[t.id] |= anchor
                     holds[t.id] |= anchor
+                    # A freeze order ("*") only holds its target.
+                    if a.situation != "*":
+                        wanted = mask(t, a.situation if isinstance(a.situation, frozenset)
+                                      else t.initial)
+                        self.forcings.append((anchor, wanted, mask(t, t.steps)))
             for step, target in c.enclosings:
                 if target in pmap:
                     t = pmap[target]
@@ -201,13 +207,10 @@ def explore(
     spec: GrafcetSpec,
     mode: str = "structural",
     max_states: int = 100_000,
-    value_cap: int = 64,
     track_activations: tuple[str, ...] = (),
-    activation_cap: int = 12,
 ) -> OracleFacts:
     """BFS over the evolutions of the whole specification."""
-    return _explore(spec, list(spec.partials), None, mode, max_states,
-                    value_cap, track_activations, activation_cap)
+    return _explore(spec, list(spec.partials), None, mode, max_states, track_activations)
 
 
 def explore_partial(
@@ -216,19 +219,16 @@ def explore_partial(
     initial_steps: frozenset[str],
     mode: str = "structural",
     max_states: int = 100_000,
-    value_cap: int = 64,
     track_activations: tuple[str, ...] = (),
-    activation_cap: int = 12,
 ) -> OracleFacts:
     """Explore a single partial Grafcet from a given initial situation,
     ignoring hierarchy (the per-situation view the analyses use)."""
     c = spec.partial_map[partial_id]
-    return _explore(spec, [c], initial_steps, mode, max_states,
-                    value_cap, track_activations, activation_cap)
+    return _explore(spec, [c], initial_steps, mode, max_states, track_activations)
 
 
 def _explore(spec, partials, initial_override, mode, max_states,
-             value_cap, track_activations, activation_cap) -> OracleFacts:
+             track_activations) -> OracleFacts:
     world = _World(spec, partials, mode, track_activations)
     facts = OracleFacts()
     facts.var_values = {v: set() for v in world.stored_vars + world.cont_vars}
@@ -255,15 +255,14 @@ def _explore(spec, partials, initial_override, mode, max_states,
     seen = set()
     frontier = deque()
     for inputs in world.input_choices:
-        for vals in _run_triggers(world, active, world.initial_vals, events, value_cap,
-                                  facts, None, inputs):
+        for vals in _run_triggers(world, active, world.initial_vals, events, facts,
+                                  None, inputs):
             state = (active, vals, tuple(counts), history)
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)
     while frontier:
-        for state in _successors(world, *frontier.popleft(), value_cap,
-                                 activation_cap, facts):
+        for state in _successors(world, *frontier.popleft(), facts):
             if state in seen:
                 continue
             if len(seen) >= max_states:
@@ -333,7 +332,7 @@ def _settle_hierarchy(world, prev_active, active):
                 active &= ~target
                 changed = True
         for anchor, wanted, target in world.forcings:
-            if not active & anchor or wanted is None:
+            if not active & anchor:
                 continue
             forced = (active & ~target) | wanted
             if forced != active:
@@ -387,7 +386,7 @@ def _eval_cond(world, cond, active, vals, prev, inputs) -> bool:
     return concrete_eval(cond, now, before)
 
 
-def _successors(world, active, vals, track, prev, value_cap, activation_cap, facts):
+def _successors(world, active, vals, track, prev, facts):
     semantic = world.mode == "semantic"
     for inputs in world.input_choices:
         prev2 = tuple(_value(world, ref, active, vals, inputs)
@@ -411,13 +410,12 @@ def _successors(world, active, vals, track, prev, value_cap, activation_cap, fac
                     if delta > 0 and i in world.track_at:
                         n = world.track_at[i]
                         counts[n] += 1
-                        overflow |= counts[n] > activation_cap
+                        overflow |= counts[n] > ACTIVATION_CAP
                 if overflow:
                     facts.inconclusive = True
                     continue
                 track2 = tuple(counts)
-            for vals2 in _run_triggers(world, settled, vals, events, value_cap, facts,
-                                       prev, inputs):
+            for vals2 in _run_triggers(world, settled, vals, events, facts, prev, inputs):
                 yield settled, vals2, track2, prev2
         if semantic:
             # Stutter: a cycle in which no transition fires still records the
@@ -451,7 +449,7 @@ def _firing_subsets(enabled) -> list[tuple[int, int]]:
     return out
 
 
-def _run_triggers(world, active, vals, events, value_cap, facts, prev, inputs):
+def _run_triggers(world, active, vals, events, facts, prev, inputs):
     """Execute triggered stored actions in every subset and order; returns the
     distinct resulting valuations.
 
@@ -490,7 +488,7 @@ def _run_triggers(world, active, vals, events, value_cap, facts, prev, inputs):
             new = list(vals)
             for pos, const, terms, capped, _cond in order:
                 value = const + sum(coeff * new[p] for coeff, p in terms)
-                if capped and abs(value) > value_cap:
+                if capped and abs(value) > VALUE_CAP:
                     facts.inconclusive = True
                     break
                 new[pos] = value

@@ -51,7 +51,7 @@ def test_parallel_split_pairs():
 
 def test_loop_values_hit_cap(load_fixture):
     spec = load_fixture("fig2_g7.grafcet.json")
-    facts = explore(spec, value_cap=8)
+    facts = explore(spec)
     # k := k + 1 in an endless loop: the oracle sees growing values and gives up.
     assert facts.inconclusive
     assert max(facts.var_values["k"]) >= 3
