@@ -64,6 +64,17 @@ class TestParsing:
         cond = parse_condition("(a | b) & x")
         assert cond.op == "&"
 
+    @pytest.mark.parametrize("text", [
+        "(a | b) | x", "a | (b | x)", "((a | b)) | x", "(a | (b | x))",
+        "(a & b) & x", "a & (b & x)",
+    ])
+    def test_parenthesised_chain_of_the_same_operator_is_spliced(self, text):
+        # The tree is canonical, so printing and parsing it again gives it back.
+        cond = parse_condition(text)
+        op = cond.op
+        assert cond == NaryOp(op, (VarRef("a"), VarRef("b"), VarRef("x")))
+        assert parse_condition(to_text(cond)) == cond
+
     def test_linear_expression(self):
         cond = parse_condition("2*k - n + 1 = 0")
         assert cond.left == Arith((Term(2, "k"), Term(-1, "n"), Term(1)))
@@ -152,7 +163,8 @@ def _ariths():
 
 
 def _nary(op, items):
-    # The parser flattens associative chains, so build in that canonical form.
+    # The parser splices a parenthesised chain of the same operator into its
+    # parent, so build in that canonical form.
     flat = []
     for item in items:
         if isinstance(item, NaryOp) and item.op == op:

@@ -112,6 +112,20 @@ def test_random_specs_roundtrip():
         assert parse_spec(serialize(spec)) == spec
 
 
+def test_grouped_conditions_roundtrip():
+    spec = parse_spec({
+        "name": "grouped",
+        "variables": [{"name": v, "kind": "input", "type": "bool"} for v in "abc"],
+        "partials": [{
+            "id": "P",
+            "steps": [{"id": "1", "initial": True}, {"id": "2"}],
+            "transitions": [{"id": "t1", "from": ["1"], "to": ["2"], "cond": "(a | b) | c"},
+                            {"id": "t2", "from": ["2"], "to": ["1"], "cond": "a & (b & !c)"}],
+        }],
+    })
+    assert parse_spec(serialize(spec)) == spec
+
+
 def _readme_json_blocks():
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
