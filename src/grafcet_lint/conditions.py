@@ -188,15 +188,15 @@ class _Parser:
         return self._chain("&", self.parse_unary)
 
     def _chain(self, op: str, parse_item: Callable[[], Condition]) -> Condition:
-        items = []
-        while True:
-            item = parse_item()
-            # Only a parenthesised group can be a chain of the same operator;
-            # splicing it in keeps the tree flat, as ``to_text`` prints it.
-            items += item.items if isinstance(item, NaryOp) and item.op == op else (item,)
-            if not self.accept(op):
-                break
-        return items[0] if len(items) == 1 else NaryOp(op, tuple(items))
+        items = [parse_item()]
+        while self.accept(op):
+            items.append(parse_item())
+        if len(items) == 1:
+            return items[0]
+        # Only a parenthesised group can be a chain of the same operator;
+        # splicing it in keeps the tree flat, as ``to_text`` prints it.
+        return NaryOp(op, tuple(x for item in items for x in (
+            item.items if isinstance(item, NaryOp) and item.op == op else (item,))))
 
     def parse_unary(self) -> Condition:
         self.depth += 1

@@ -20,6 +20,12 @@ in step-index order, so the results do not depend on string hashing. Each
 transition is indexed under its lowest upstream step, so a state tests only
 the transitions of its active steps (and the source transitions), still in
 declaration order.
+
+After each move the hierarchy settles. An enclosing acts when its anchor's
+activity changes: it activates the enclosed partials' marked steps, or clears
+those partials. A forcing order acts while its anchor is active and wins over
+an enclosing into the same partial. A freeze order ("*") only holds its
+target. The caps past which a run is inconclusive are fixed constants.
 """
 
 from __future__ import annotations
@@ -36,8 +42,7 @@ ActionKey = tuple[str, int]
 
 # Semantic mode enumerates every valuation of the Boolean inputs per state.
 MAX_BOOL_INPUTS = 6
-# A run is inconclusive once a stored value leaves -VALUE_CAP..VALUE_CAP or a
-# tracked step activates more than ACTIVATION_CAP times.
+# A run is inconclusive past these caps: |stored value|, tracked activations.
 VALUE_CAP = 64
 ACTIVATION_CAP = 12
 

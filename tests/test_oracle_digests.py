@@ -4,10 +4,10 @@
 ``OracleFacts`` field of every run, ``states_seen`` and ``inconclusive``
 included, with every step tracked and ``max_states`` 8000. Each entry also
 lists every spec's own digest (12 hex characters of its record's sha256) in
-draw order, so a failure names the spec indices whose facts changed. Inconclusive
-runs count too: their facts cover only the states seen before the search
-stopped, so they pin the search order (breadth-first, transitions in
-declaration order, firing sets by size). A spec that semantic mode refuses
+draw order, so a failure names the spec indices whose facts changed.
+Inconclusive runs count too: their facts cover only the states seen before
+the search stopped, so they pin the search order (breadth-first, transitions
+in declaration order, firing sets by size). A spec that semantic mode refuses
 enters as its ``ValueError`` message. A change to how the oracle searches
 must leave every entry unchanged. When a change of the oracle's results is
 intended, regenerate the file and commit it with the change that explains
