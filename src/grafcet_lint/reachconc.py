@@ -170,12 +170,18 @@ def lift_concurrency(
 
     Rules, applied in topological order of the hierarchy DAG:
       (a) intra-partial pairs from each partial's (situation-union) S^C;
-      (b) partial Grafcets activated by concurrent steps of a common
-          superior (or by one and the same step) are concurrent as wholes;
       (c) the reachable steps of an activated partial are concurrent with
           its activating step and with everything concurrent to it.
     Partials with their own initial steps are all active from the start, so
-    their reachable steps are additionally pairwise concurrent.
+    their reachable steps are additionally pairwise concurrent (the roots
+    rule).
+
+    Rule (b), sibling partials activated by one step of a common superior or
+    by two concurrent ones are concurrent as wholes, needs no code of its
+    own. Rule (c) reads an anchor's partners after the superior's earlier
+    edges: by then the first sibling's steps are in the row of every step
+    near its anchor, the second anchor among them, so rule (c) pairs them
+    with the second sibling's steps.
 
     Returns each step's partners as a sorted list; no step is paired with
     itself, and only steps with a partner are keys.
@@ -187,9 +193,9 @@ def lift_concurrency(
     steps of P alone and is no prefix of another partial's "Q.": one
     partial's steps are contiguous in this order, and sorting the partials
     by "P." and then each partial's step ids yields it. A product with a
-    whole partial (the roots, rule (b), the activated side of rule (c)) is
-    one OR into that partial's ``whole`` mask, which holds for each of its
-    reachable steps; ``partners`` ORs it in when it reads a step.
+    whole partial (the roots, the activated side of rule (c)) is one OR into
+    that partial's ``whole`` mask, which holds for each of its reachable
+    steps; rule (c) ORs it in when it reads an anchor.
     """
     n = sum(len(c.steps) for c in spec.partials)
     names: list[str] = []  # the global ids in sorted order
@@ -209,12 +215,6 @@ def lift_concurrency(
         # The items, one per id, whose bits are set in the mask.
         return compress(items, format(mask, spelling).encode().translate(_SELECT))
 
-    def partners(pid: str, s: str) -> int:
-        mask = rows[n - bit[pid][s].bit_length()]
-        if s in reachable_by_partial[pid]:
-            mask |= whole[pid]
-        return mask & ~bit[pid][s]
-
     for pid, conc in conc_by_partial.items():
         to_bit = bit[pid].__getitem__
         for s, others in conc.items():
@@ -232,18 +232,13 @@ def lift_concurrency(
         edges_by_source.setdefault(e.source, []).append(e)
 
     for pid in graph.order:
-        edges = edges_by_source.get(pid, [])
-        # Rule (b): sibling partials activated concurrently.
-        for i, e1 in enumerate(edges):
-            for e2 in edges[i + 1:]:
-                if e1.target != e2.target and (
-                        e1.step == e2.step or partners(pid, e1.step) & bit[pid][e2.step]):
-                    whole[e1.target] |= reach[e2.target]
-                    whole[e2.target] |= reach[e1.target]
         # Rule (c): activated steps are concurrent with the activating step
         # and with everything concurrent to it (read before adding the edge).
-        for e in edges:
-            near = partners(pid, e.step) | bit[pid][e.step]
+        for e in edges_by_source.get(pid, []):
+            anchor = bit[pid][e.step]
+            near = rows[n - anchor.bit_length()] | anchor
+            if e.step in reachable_by_partial[pid]:
+                near |= whole[pid]
             whole[e.target] |= near
             if reach[e.target]:
                 for i in members(near, range(n)):

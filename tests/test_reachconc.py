@@ -9,7 +9,7 @@ from grafcet_lint.reachconc import (analyze_partial, concurrent, init_concurrenc
                                     reach_analysis)
 from conftest import corpus_path
 from lift_reference import lift_concurrency_reference
-from randspec import random_forcing_spec, random_spec
+from randspec import random_forcing_spec, random_hierarchy_spec, random_spec
 from reach_reference import reach_analysis_reference
 
 FIG4_EXPECTED = {
@@ -240,7 +240,8 @@ def test_lift_enclosed_concurrent_with_anchor_and_neighbors(load_fixture):
     # Rule (c): station steps run concurrently with their anchor and its peers.
     assert "G_RIT.11" in gc["G10.b"]
     assert "G_RIT.12" in gc["G10.b"]
-    # Rule (b): stations anchored on mutually concurrent steps are concurrent.
+    # Stations anchored on mutually concurrent steps are concurrent: rule (c)
+    # pairs each station with the anchors' partners, the earlier stations.
     for i in range(1, 8):
         for j in range(i + 1, 8):
             assert f"G{j}0.b" in gc[f"G{i}0.b"], (i, j)
@@ -300,6 +301,10 @@ def test_lift_matches_string_set_reference_on_corpus_and_random_specs():
     rng = random.Random(2026)
     for _ in range(300):
         _assert_lift_matches_reference(random_forcing_spec(rng))
+    # Sibling partials activated concurrently, the reference's rule (b).
+    rng = random.Random(15)
+    for _ in range(200):
+        _assert_lift_matches_reference(random_hierarchy_spec(rng))
 
 
 def test_lift_matches_reference_on_a_cyclic_hierarchy():
