@@ -78,7 +78,7 @@ def bound_executions(
             elif any(t.id in loops for t in c.upstream_of[step]):
                 own[step] = math.inf, ("t-invariant-loop",)
             else:
-                total = 0.0
+                total = 0
                 for sit in entered_by:
                     entries = (1 if sit.source == "initial-steps" else
                                done.get(sit.from_partial, {}).get(sit.from_step, (math.inf,))[0])
@@ -144,7 +144,7 @@ def _approx_bool(decl, writers, bounds) -> VarApprox:
 def _approx_int(decl, writers, bounds) -> VarApprox:
     init = decl.init_value
     lo = hi = init
-    neg_shift = pos_shift = 0.0
+    neg_shift = pos_shift = 0
     for pid, i, action in writers:
         count = bounds[(pid, i)].count
         if count == 0:

@@ -11,6 +11,7 @@ from randspec import random_forcing_spec, random_hierarchy_spec, random_spec
 
 from grafcet_lint import analyze_spec, load_spec, parse_spec, serialize
 from grafcet_lint.cli import main
+from grafcet_lint.oracle import explore
 from grafcet_lint.varapprox import classify_stored_value
 
 
@@ -151,6 +152,34 @@ def test_monotone_in_the_bound():
     lo_s, hi_s = small.variables["k"].interval
     lo_l, hi_l = large.variables["k"].interval
     assert lo_l <= lo_s and hi_l >= hi_s
+
+
+BIG = 2**53 + 1  # the least integer a float cannot hold
+
+
+@pytest.mark.parametrize("init, actions", [
+    pytest.param(BIG, [], id="init"),
+    pytest.param(0, [{"kind": "stored", "step": "1", "var": "k", "value": f"k + {BIG}"}],
+                 id="shift"),
+])
+def test_intervals_stay_exact_past_float_precision(tmp_path, capsys, init, actions):
+    """Interval ends and execution counts are integers throughout: rounded to
+    a float, ``hi`` would be 2**53 and the guard ``k = BIG`` unsatisfiable."""
+    doc = {"name": "big",
+           "variables": [{"name": "k", "kind": "internal", "type": "int", "init": init}],
+           "partials": [{"id": "P", "steps": [{"id": "1", "initial": True}, {"id": "2"}],
+                         "transitions": [{"id": "t1", "from": ["1"], "to": ["2"],
+                                          "cond": f"k = {BIG}"}],
+                         "actions": actions}]}
+    path = tmp_path / "big.grafcet.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--format", "json", "--no-timings"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["variables"]["k"]["hi"] == BIG
+    assert not report["findings"]
+    if not actions:
+        facts = explore(parse_spec(doc), mode="semantic")
+        assert "P.2" in facts.reachable and not facts.inconclusive
 
 
 def _compare_with_reference(spec):
