@@ -36,8 +36,6 @@ class Finding(Record):
 
 
 def _jsonable(value):
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     return value

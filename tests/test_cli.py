@@ -309,6 +309,24 @@ def _coactive_sidecar(value):
     pytest.param(_fig5_with(queries=[{"kind": "never-concurrent", "nmae": "q",
                                       "steps": ["c.s1", "c.s2"]}]), None,
                  "unknown field 'nmae'", id="embedded-query-extra-member"),
+    pytest.param(_fig5_with_action(kind="stored", step="zz", var="k", value="1"), None,
+                 "action attached to unknown step 'zz'", id="action-unknown-step"),
+    pytest.param(_fig5_with_action(kind="forcing", target="ZZ", situation="init"), None,
+                 "forcing targets unknown partial Grafcet 'ZZ'", id="forcing-unknown-target"),
+    pytest.param(_fig5_with(variables=[{"name": "k", "kind": "internal", "type": "float",
+                                        "init": 0}]), None,
+                 "type must be bool or int", id="variable-type-float"),
+    pytest.param(_fig5_with(partials=[{"id": "c", "steps": [{"id": "1", "initial": True}],
+                                       "transitions": [{"id": "t", "from": [1], "to": ["1"]}]}]),
+                 None, "expected a list of strings", id="transition-from-number"),
+    pytest.param(_fig5_with_cond(5), None, "condition must be a string", id="cond-number"),
+    pytest.param(_fig5_with_cond("2*3 > 1"), None, "expected a variable after '*'",
+                 id="cond-constant-product"),
+    pytest.param(_fig5_with_cond("k + Xc.s1 > 0"), None,
+                 "step variables are Boolean, not integers", id="cond-step-variable-in-sum"),
+    pytest.param(None, b'{"queries": [{"kind": "never-coactive", "a": {"var": "nope"},'
+                       b' "b": {"var": "x"}}]}', "unknown variable 'nope'",
+                 id="sidecar-coactive-unknown-variable"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, spec, sidecar, message):
     path = tmp_path / "spec.grafcet.json"

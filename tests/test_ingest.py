@@ -142,3 +142,5 @@ def test_readme_examples_parse():
         ["StoredAction", "ForcingAction"]
     assert [q.kind for q in parse_queries(query_doc["queries"])] == \
         ["never-concurrent", "never-coactive"]
+    # G3's continuous action on lamp has a cond, which serialize writes back.
+    assert parse_spec(serialize(spec)) == spec

@@ -4,7 +4,7 @@ import pytest
 
 from grafcet_lint import parse_spec
 from grafcet_lint.ingest import SpecSemanticError
-from grafcet_lint.model import validate
+from grafcet_lint.model import GrafcetSpec, PartialGrafcet, validate
 
 
 def _base():
@@ -89,6 +89,19 @@ def test_partial_id_must_not_contain_a_dot():
     assert validate(parse_spec(doc)) == []
 
 
+def test_initial_and_marked_steps_must_be_steps():
+    # A spec file cannot break these rules: ingest builds both sets from the
+    # step list. So the model is built directly.
+    spec = parse_spec(_base())
+    p = spec.partials[0]
+    for field, kind in (("initial", "initial"), ("marked", "marked")):
+        fields = {n: getattr(p, n) for n in p._fields}
+        fields[field] = frozenset({"1", "zz"})
+        broken = GrafcetSpec(**{**{n: getattr(spec, n) for n in spec._fields},
+                                "partials": (PartialGrafcet(**fields), *spec.partials[1:])})
+        assert [f.message for f in validate(broken)] == [f"{kind} step 'zz' is not a step"]
+
+
 def test_enclosing_rules():
     doc = _base()
     doc["partials"][0]["enclosings"] = [{"step": "zz", "target": "Q"}]
@@ -139,6 +152,10 @@ def test_stored_action_targets():
     doc["partials"][0]["actions"] = [
         {"kind": "stored", "step": "1", "var": "k", "value": "0", "trigger": "edge"}]
     assert any("unknown trigger" in m for m in _errors(doc))
+    doc = _base()
+    doc["partials"][0]["actions"] = [
+        {"kind": "stored", "step": "zz", "var": "k", "value": "0"}]
+    assert any("action attached to unknown step 'zz'" in m for m in _errors(doc))
 
 
 def test_forcing_rules():
@@ -146,6 +163,10 @@ def test_forcing_rules():
     doc["partials"][0]["actions"] = [
         {"kind": "forcing", "step": "1", "target": "P", "situation": "init"}]
     assert any("cannot force itself" in m for m in _errors(doc))
+    doc = _base()
+    doc["partials"][0]["actions"] = [
+        {"kind": "forcing", "step": "1", "target": "ZZ", "situation": "init"}]
+    assert any("forcing targets unknown partial Grafcet 'ZZ'" in m for m in _errors(doc))
     doc = _base()
     doc["partials"][0]["actions"] = [
         {"kind": "forcing", "step": "1", "target": "Q", "situation": ["zz"]}]
