@@ -11,7 +11,9 @@ The ASCII grammar used in ``.grafcet.json`` files:
     sum    := term (("+"|"-") term)*
     term   := ["-"] (INT ["*" var] | var)
 
-Step-activity variables are written ``X<partial>.<step>`` (e.g. ``XG1.2``).
+Step-activity variables are written ``X<partial>.<step>`` (e.g. ``XG1.2``);
+the step id must be made of letters, digits and ``_``, so a step whose id
+holds ``.`` or ``-`` (both allowed in step ids) cannot be named here.
 Edge events use ``re(x)`` / ``fe(x)`` for rising / falling edges.
 """
 
