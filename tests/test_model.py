@@ -94,12 +94,12 @@ def test_initial_and_marked_steps_must_be_steps():
     # step list. So the model is built directly.
     spec = parse_spec(_base())
     p = spec.partials[0]
-    for field, kind in (("initial", "initial"), ("marked", "marked")):
+    for field in ("initial", "marked"):
         fields = {n: getattr(p, n) for n in p._fields}
         fields[field] = frozenset({"1", "zz"})
         broken = GrafcetSpec(**{**{n: getattr(spec, n) for n in spec._fields},
                                 "partials": (PartialGrafcet(**fields), *spec.partials[1:])})
-        assert [f.message for f in validate(broken)] == [f"{kind} step 'zz' is not a step"]
+        assert [f.message for f in validate(broken)] == [f"{field} step 'zz' is not a step"]
 
 
 def test_enclosing_rules():
