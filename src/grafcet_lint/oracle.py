@@ -42,9 +42,11 @@ ActionKey = tuple[str, int]
 
 # Semantic mode enumerates every valuation of the Boolean inputs per state.
 MAX_BOOL_INPUTS = 6
-# A run is inconclusive past these caps: |stored value|, tracked activations.
+# A run is inconclusive past these caps: |stored value|, tracked activations,
+# transitions enabled at once (past which not every firing subset is tried).
 VALUE_CAP = 64
 ACTIVATION_CAP = 12
+ENABLED_CAP = 10
 
 
 class OracleFacts:
@@ -396,7 +398,10 @@ def _successors(world, active, vals, track, prev, facts):
     for inputs in world.input_choices:
         prev2 = tuple(_value(world, ref, active, vals, inputs)
                       for ref in world.edge_operands) if semantic else None
-        for up, down in _firing_subsets(_enabled(world, active, vals, prev, inputs)):
+        enabled = _enabled(world, active, vals, prev, inputs)
+        if len(enabled) > ENABLED_CAP:
+            facts.inconclusive = True
+        for up, down in _firing_subsets(enabled):
             # All upstream steps deactivate, then all downstream steps
             # activate; a step on both sides is maintained without events.
             settled, events = _settle_hierarchy(world, active, (active & ~up) | down)
@@ -434,7 +439,7 @@ def _firing_subsets(enabled) -> list[tuple[int, int]]:
     by size, then in the order of ``combinations``."""
     if len(enabled) == 1:
         return enabled
-    if len(enabled) > 10:
+    if len(enabled) > ENABLED_CAP:
         # Fall back to single firings plus the full set.
         candidates = [[e] for e in enabled]
         candidates.append(enabled)

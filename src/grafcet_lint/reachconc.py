@@ -1,4 +1,4 @@
-"""Worklist fixpoint for reachable steps and per-step concurrency sets.
+"""Sweep fixpoint for reachable steps and per-step concurrency sets.
 
 For one partial Grafcet and one initial situation the analysis computes an
 over-approximation of the reachable steps S^R and, for every step s, the
@@ -7,15 +7,18 @@ conditions are ignored (assumed satisfiable), which makes the result
 independent of variable values.
 
 Because conditions are ignored, S^R does not depend on the concurrency sets:
-it is computed first, as a closure, and one worklist then computes the
-concurrency sets over the transitions that can fire. A source transition
-can fire in any situation, so its downstream steps become concurrent to all
-of S^R, the intersection over its empty set of upstream steps.
+it is computed first, as a closure, and sweeps over the transitions that can
+fire then compute the concurrency sets. A source transition can fire in any
+situation, so its downstream steps become concurrent to all of S^R, the
+intersection over its empty set of upstream steps. A transition with an
+unreachable upstream step never fires, however the sets of its reachable
+upstream steps grow.
 
-Every fact is added one set at a time by ``grow``, which returns the steps
-whose set grew; only the fireable transitions downstream of them are
-re-enqueued. A transition with an unreachable upstream step never fires,
-however the sets of its reachable upstream steps grow.
+Every fact is added one set at a time by ``grow``, which reports whether a
+set grew. Each sweep applies every fireable transition once, in the order
+the closure found them, and the sweeps stop after the first one that adds
+nothing. Every sweep but the last adds at least one unordered pair of steps,
+which bounds the number of sweeps.
 
 ``lift_concurrency`` lifts the per-partial results to one global relation
 over "partial.step" ids. It works on ``int`` bitsets over the sorted ids and
@@ -25,7 +28,6 @@ returns each step's partners as a sorted list, which ``concurrent`` searches.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from itertools import compress
 
 from .hierarchy import HierarchyGraph, InitialSituation
@@ -66,20 +68,18 @@ def init_concurrency(c: PartialGrafcet, initial: frozenset[str]) -> dict[str, se
     return {s: set(initial - {s}) if s in initial else set() for s in c.steps}
 
 
-def grow(conc: dict[str, set[str]], s: str, others: set[str] | frozenset[str]) -> set[str]:
+def grow(conc: dict[str, set[str]], s: str, others: set[str] | frozenset[str]) -> bool:
     """Make ``s`` concurrent to every step of ``others`` but itself (both ways).
 
-    Returns the steps whose set grew: ``s`` and its new partners, or an empty
-    set. This is the only writer of the concurrency sets after initialization.
+    Returns whether a set grew. This is the only writer of the concurrency
+    sets after initialization.
     """
     new = set(others - conc[s])
     new.discard(s)
-    if new:
-        conc[s] |= new
-        for s2 in new:
-            conc[s2].add(s)
-        new.add(s)
-    return new
+    conc[s] |= new
+    for s2 in new:
+        conc[s2].add(s)
+    return bool(new)
 
 
 def reach_analysis(
@@ -89,8 +89,8 @@ def reach_analysis(
 ) -> tuple[set[str], dict[str, set[str]]]:
     """Returns (S^R, concurrency sets) from the initial steps ``initial``.
 
-    ``rng``, a ``random.Random`` when given, randomizes the worklist order;
-    the fixpoint is confluent so the result is unchanged.
+    ``rng``, a ``random.Random`` when given, shuffles the order before each
+    sweep; the fixpoint is confluent so the result is unchanged.
     """
     # S^R: a transition fires once all its upstream steps are reachable, so a
     # source transition always can.
@@ -106,30 +106,22 @@ def reach_analysis(
                 stack += c.downstream_of[s]
 
     conc = init_concurrency(c, initial)
-    queue = deque(fireable.values())
-    pending = set(fireable)
-    enqueues = len(queue)
+    order = list(fireable.values())
     nsteps = len(c.steps)
-    enqueue_bound = len(c.transitions) * (nsteps * (nsteps + 1) + 2)
-
-    while queue:
+    for _ in range(nsteps * (nsteps - 1) // 2 + 1):
         if rng is not None:
-            queue.rotate(-rng.randrange(len(queue)))
-        t = queue.popleft()
-        pending.discard(t.id)
-        # Downstream steps of a parallel activation become mutually concurrent,
-        # then inherit the intersection of the upstream steps' concurrency.
-        others = t.downstream | reachable.intersection(*(conc[s] for s in t.upstream))
-        for d in t.downstream:
-            for s in grow(conc, d, others):
-                for u in c.downstream_of[s]:
-                    if u.id in fireable and u.id not in pending:
-                        pending.add(u.id)
-                        queue.append(u)
-                        enqueues += 1
-        assert enqueues <= enqueue_bound, "worklist failed to stabilize within bound"
-
-    return reachable, conc
+            rng.shuffle(order)
+        grew = False
+        for t in order:
+            # Downstream steps of a parallel activation become mutually
+            # concurrent, then inherit the intersection of the upstream
+            # steps' concurrency.
+            others = t.downstream | reachable.intersection(*(conc[s] for s in t.upstream))
+            for d in t.downstream:
+                grew |= grow(conc, d, others)
+        if not grew:
+            return reachable, conc
+    raise AssertionError("fixpoint failed to stabilize within bound")
 
 
 def analyze_partial(

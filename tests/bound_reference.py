@@ -45,7 +45,7 @@ def bound_executions_reference(spec, invariants, results):
                               else "uncovered-partial",)
         if any(t.id in loops[pid] for t in c.upstream_of[step]):
             return math.inf, ("t-invariant-loop",)
-        total = 0.0
+        total = 0
         for r in reachable_in:
             sit = r.situation
             if sit.source == "initial-steps":

@@ -67,6 +67,21 @@ def test_fig5_counter_stays_within_analyzed_bound(load_fixture):
     assert facts.var_values["k"] <= {0, 1, 2, 3, 4}
 
 
+def test_activation_cap_makes_the_run_inconclusive():
+    # P.a activates once per trip round a <-> b; the run gives up on the
+    # trip that would count a 13th activation.
+    spec = parse_spec({"name": "cycle", "partials": [{
+        "id": "P",
+        "steps": [{"id": "a", "initial": True}, {"id": "b"}],
+        "transitions": [{"id": "t1", "from": ["a"], "to": ["b"]},
+                        {"id": "t2", "from": ["b"], "to": ["a"]}],
+    }]})
+    facts = explore(spec, track_activations=("P.a",))
+    assert facts.inconclusive
+    assert facts.states_seen == 24
+    assert facts.activations == {"P.a": 12}
+
+
 def test_same_step_writers_conflict(load_fixture):
     spec = load_fixture("fig2_g1.grafcet.json")
     facts = explore(spec)
@@ -239,6 +254,23 @@ def test_semantic_edge_on_an_unwritten_variable_never_fires():
     assert [f.kind for f in analyze_spec(spec).findings] == ["unsat-condition"]
 
 
+def test_semantic_mode_reads_step_variables():
+    # t1 waits for XP.c, but P.c is reachable only through t1: semantic mode
+    # evaluates the step variable and stays at P.a, structural mode havocs it.
+    spec = parse_spec({"name": "t", "partials": [{
+        "id": "P",
+        "steps": [{"id": "a", "initial": True}, {"id": "b"}, {"id": "c"}],
+        "transitions": [{"id": "t1", "from": ["a"], "to": ["b"], "cond": "XP.c"},
+                        {"id": "t2", "from": ["b"], "to": ["c"]},
+                        {"id": "t3", "from": ["c"], "to": ["a"]}],
+    }]})
+    facts = explore(spec, mode="semantic")
+    assert facts.reachable == {"P.a"}
+    assert not facts.inconclusive
+    assert facts.states_seen == 1
+    assert explore(spec).reachable == {"P.a", "P.b", "P.c"}
+
+
 def test_semantic_mode_rejects_int_inputs():
     spec = parse_spec({
         "name": "t",
@@ -401,3 +433,26 @@ def test_indexed_successors_match_full_scan_reference():
                         if wake:
                             seen["woken" if active & wake else "asleep"] += 1
     assert len(seen) == 4 and all(seen.values()), seen
+
+
+def test_more_enabled_transitions_than_searched_is_inconclusive():
+    # Thirteen transitions are enabled in the initial state: ten self-loops,
+    # t1 and t4 on a, and t2 on y. Past ten, only single firings and the
+    # full set are tried; the full set conflicts on a, and t1 and t2 each
+    # disable the other, so the pair (b, z) that t1 and t2 firing together
+    # reach is missed. The run must say it is inconclusive.
+    loops = [f"c{i}" for i in range(1, 11)]
+    spec = parse_spec({"name": "wide-conflict", "partials": [{
+        "id": "P",
+        "steps": [{"id": s, "initial": True} for s in ["a", "y", *loops]]
+                 + [{"id": s} for s in ("b", "z", "q")],
+        "transitions": [{"id": f"t{s}", "from": [s], "to": [s]} for s in loops] + [
+            {"id": "t1", "from": ["a"], "to": ["b"], "cond": "XP.y"},
+            {"id": "t2", "from": ["y"], "to": ["z"], "cond": "XP.a"},
+            {"id": "t4", "from": ["a"], "to": ["q"]},
+        ],
+    }]})
+    facts = explore(spec, mode="semantic")
+    assert frozenset({"P.b", "P.z"}) not in facts.pairs
+    assert facts.inconclusive
+    assert "P.z" in analyze_spec(spec).global_concurrency["P.b"]

@@ -1,7 +1,9 @@
-"""Worklist reachability/concurrency fixpoint and the hierarchy lift."""
+"""Reachability/concurrency sweep fixpoint and the hierarchy lift."""
 
 import random
 from pathlib import Path
+
+import pytest
 
 from grafcet_lint import analyze_spec, load_spec, parse_spec, reachconc, serialize
 from grafcet_lint.hierarchy import InitialSituation, build_hierarchy, initial_situations
@@ -52,6 +54,27 @@ def test_fig4_confluent_under_randomized_worklist_orders(load_fixture):
         result = analyze_partial(c, _situation("c", {"s3", "s4", "s5"}),
                                  rng=random.Random(seed))
         assert {s: set(v) for s, v in result.concurrency.items()} == FIG4_EXPECTED
+
+
+def test_sweeps_stop_at_the_bound_when_grow_never_settles(load_fixture, monkeypatch):
+    # A grow that reports growth without adding a pair: the sweeps must give
+    # up after |S|(|S|-1)/2 + 1 of them, not run on.
+    c = load_fixture("fig4.grafcet.json").partial_map["c"]
+    per_sweep = sum(len(t.downstream) for t in c.transitions)  # all of them fire
+    bound = len(c.steps) * (len(c.steps) - 1) // 2 + 1
+    calls = 0
+
+    def stuck(conc, s, others):
+        nonlocal calls
+        calls += 1
+        if calls > 100 * bound * per_sweep:
+            raise RuntimeError("no termination guard")
+        return True
+
+    monkeypatch.setattr(reachconc, "grow", stuck)
+    with pytest.raises(AssertionError, match="failed to stabilize"):
+        reach_analysis(c, frozenset({"s3", "s4", "s5"}))
+    assert calls <= bound * per_sweep
 
 
 def test_linear_chain_has_no_concurrency():

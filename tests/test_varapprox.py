@@ -197,9 +197,31 @@ def _compare_with_reference(spec):
     return result, cyclic
 
 
+def _marked_chain(depth):
+    """``depth`` partials, each after the first with three marked steps; each
+    partial's m1 encloses the next, and the last stores ``k`` at m1, which
+    so runs up to 3**(depth - 1) times."""
+    partials = []
+    for i in range(depth):
+        steps = ([{"id": "m1", "initial": True}] if i == 0
+                 else [{"id": f"m{j}", "marked": True} for j in (1, 2, 3)])
+        p = {"id": f"P{i}", "steps": steps}
+        if i + 1 < depth:
+            p["enclosings"] = [{"step": "m1", "target": f"P{i + 1}"}]
+        else:
+            p["actions"] = [{"kind": "stored", "step": "m1", "var": "k", "value": "1"}]
+        partials.append(p)
+    return {"name": "marked-chain",
+            "variables": [{"name": "k", "kind": "internal", "type": "int", "init": 0}],
+            "partials": partials}
+
+
 def test_bounds_match_recursive_reference():
     for path in sorted(corpus_path("").glob("*.grafcet.json")):
         assert not _compare_with_reference(load_spec(path))[1]
+    # 3**35 is past float precision: both counts must stay exact integers.
+    result, _ = _compare_with_reference(parse_spec(_marked_chain(36)))
+    assert result.bounds[("P35", 0)].count == 3**35 == 50031545098999707
     rng = random.Random(7)
     for _ in range(300):
         assert not _compare_with_reference(random_spec(rng))[1]
