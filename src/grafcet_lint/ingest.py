@@ -166,8 +166,11 @@ def _build_spec(data, source, sha256) -> GrafcetSpec:
     partials_data = _require(data, "partials", list, source)
     if not partials_data:
         raise SpecSchemaError(f"{source}: 'partials' must be non-empty")
+    # Texts repeat across a spec, so each distinct one is parsed once.
+    parsed = {}
     partials = tuple(
-        _build_partial(p, f"{source}: partials[{i}]") for i, p in enumerate(partials_data)
+        _build_partial(p, f"{source}: partials[{i}]", parsed)
+        for i, p in enumerate(partials_data)
     )
     return GrafcetSpec(
         name=name,
@@ -180,7 +183,7 @@ def _build_spec(data, source, sha256) -> GrafcetSpec:
     )
 
 
-def _build_partial(data, where) -> PartialGrafcet:
+def _build_partial(data, where, parsed) -> PartialGrafcet:
     _no_unknown(data, _PARTIAL_FIELDS, where)
     pid = _require(data, "id", str, where)
     steps: list[str] = []
@@ -211,13 +214,13 @@ def _build_partial(data, where) -> PartialGrafcet:
                 id=_require(t, "id", str, twhere),
                 upstream=frozenset(_str_list(_require(t, "from", list, twhere), twhere)),
                 downstream=frozenset(_str_list(_require(t, "to", list, twhere), twhere)),
-                condition=_parse_cond(t.get("cond"), twhere),
+                condition=_parse_cond(t.get("cond"), twhere, parsed),
             )
         )
 
     actions = []
     for i, a in enumerate(_list(data, "actions", where)):
-        actions.append(_build_action(a, f"{where}.actions[{i}]"))
+        actions.append(_build_action(a, f"{where}.actions[{i}]", parsed))
 
     return PartialGrafcet(
         id=pid,
@@ -230,7 +233,7 @@ def _build_partial(data, where) -> PartialGrafcet:
     )
 
 
-def _build_action(a, where):
+def _build_action(a, where, parsed):
     if not isinstance(a, dict):
         raise SpecSchemaError(f"{where}: expected an object")
     kind = _require(a, "kind", str, where)
@@ -242,15 +245,15 @@ def _build_action(a, where):
         return ContinuousAction(
             step=step,
             var=_require(a, "var", str, where),
-            condition=_parse_cond(a.get("cond"), where),
+            condition=_parse_cond(a.get("cond"), where, parsed),
         )
     if kind == "stored":
         return StoredAction(
             step=step,
             var=_require(a, "var", str, where),
-            value=_parse_value(_require(a, "value", str, where), where),
+            value=_parse_value(_require(a, "value", str, where), where, parsed),
             trigger=a.get("trigger", "activation"),
-            condition=_parse_cond(a.get("cond"), where),
+            condition=_parse_cond(a.get("cond"), where, parsed),
         )
     situation = _require(a, "situation", (list, str), where)
     if isinstance(situation, list):
@@ -261,24 +264,30 @@ def _build_action(a, where):
                          situation=situation)
 
 
-def _parse_cond(text, where):
+def _parse_cond(text, where, parsed):
     if text is None:
         return None
     if not isinstance(text, str):
         raise SpecSchemaError(f"{where}: condition must be a string")
-    try:
-        return parse_condition(text)
-    except CondParseError as exc:
-        raise SpecSyntaxError(f"{where}: bad condition {text!r}: {exc}") from exc
+    return _parse(parse_condition, text, "condition", where, parsed)
 
 
-def _parse_value(text, where):
+def _parse_value(text, where, parsed):
     if text in ("true", "false"):
         return text == "true"
-    try:
-        return parse_arith(text)
-    except CondParseError as exc:
-        raise SpecSyntaxError(f"{where}: bad value expression {text!r}: {exc}") from exc
+    return _parse(parse_arith, text, "value expression", where, parsed)
+
+
+def _parse(parser, text, what, where, parsed):
+    """``parsed`` maps (parser, text) to the tree of a text parsed before in
+    this spec; trees are immutable, so they are shared."""
+    key = (parser, text)
+    if key not in parsed:
+        try:
+            parsed[key] = parser(text)
+        except CondParseError as exc:
+            raise SpecSyntaxError(f"{where}: bad {what} {text!r}: {exc}") from exc
+    return parsed[key]
 
 
 # --- serialization ---------------------------------------------------------

@@ -26,11 +26,20 @@ activity changes: it activates the enclosed partials' marked steps, or clears
 those partials. A forcing order acts while its anchor is active and wins over
 an enclosing into the same partial. A freeze order ("*") only holds its
 target. The caps past which a run is inconclusive are fixed constants.
+
+Most moves need no settling. A move is quiet when it changes no watched step
+(one that triggers stored actions or counts activations), changes no
+enclosing anchor and leaves no forcing anchor active: then no event arises
+and no enclosing or forcing order acts, so the moved mask is already the
+settled one. Quiet moves skip the settle step, and the settle step returns
+right after its event scan on the same test; the search itself, its order
+and its facts are the same either way.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from itertools import combinations, permutations, product
 
 from .conditions import Edge, StepRef, VarRef, concrete_eval, walk
@@ -142,6 +151,8 @@ class _World:
         # activates and clears all of them at once.
         self.enclosings = [(anchor, marked, steps)
                            for anchor, (marked, steps) in enclosed.items()]
+        self.enclosing_anchors = sum(enclosed)
+        self.forcing_anchors = sum({anchor for anchor, _, _ in self.forcings})
         self.settle_rounds = 10 * (len(self.enclosings) + len(self.forcings) + 1)
 
         # (upstream, downstream, hold, wake, condition): a transition is
@@ -205,6 +216,9 @@ class _World:
         # or count activations.
         self.watched = sum(1 << i for i in {*self.on_activation, *self.on_deactivation,
                                              *self.track_at})
+        # A move that changes none of these steps is quiet, unless a forcing
+        # anchor is active after it (see ``_quiet``).
+        self.noticed = self.watched | self.enclosing_anchors
         # (values, events, which triggered actions run in semantic mode) ->
         # the valuations ``_run_triggers`` returns; filled while exploring.
         self.trigger_results: dict[tuple, list[tuple]] = {}
@@ -312,6 +326,13 @@ def _record(world, facts, states):
             facts.activations[step] = max(facts.activations.get(step, 0), n)
 
 
+def _quiet(world, prev_active, active) -> bool:
+    """Whether the move from ``prev_active`` to ``active`` needs no settling:
+    it changes no watched step and no enclosing anchor, and no forcing anchor
+    is active after it. ``_settle_hierarchy`` then returns ``(active, [])``."""
+    return not ((prev_active ^ active) & world.noticed or active & world.forcing_anchors)
+
+
 def _settle_hierarchy(world, prev_active, active):
     """Apply enclosing activations/deactivations and forcing orders until
     stable; returns (active, events), with active None when the iteration cap
@@ -321,7 +342,8 @@ def _settle_hierarchy(world, prev_active, active):
     watched = world.watched
     changed = (prev_active ^ active) & watched
     events = [(i, 1 if active >> i & 1 else -1) for i in _bits(changed)] if changed else []
-    if not world.enclosings and not world.forcings:
+    if not ((prev_active ^ active) & world.enclosing_anchors
+            or active & world.forcing_anchors):
         return active, events
     was_active = prev_active
     for _ in range(world.settle_rounds):
@@ -355,12 +377,18 @@ def _settle_hierarchy(world, prev_active, active):
 def _enabled(world, active, vals, prev, inputs) -> list[tuple[int, int]]:
     """The enabled transitions' (upstream, downstream), in declaration order."""
     candidates = world.sources
-    for i in _bits(active):
-        candidates |= world.candidates[i]
+    index = world.candidates
+    rest = active
+    while rest:
+        low = rest & -rest
+        candidates |= index[low.bit_length() - 1]
+        rest ^= low
     transitions = world.transitions
     out = []
-    for n in _bits(candidates):
-        up, down, hold, wake, cond = transitions[n]
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        up, down, hold, wake, cond = transitions[low.bit_length() - 1]
         if active & up != up or active & hold or (wake and not active & wake):
             continue
         if cond is not None and not _eval_cond(world, cond, active, vals, prev, inputs):
@@ -404,7 +432,11 @@ def _successors(world, active, vals, track, prev, facts):
         for up, down in _firing_subsets(enabled):
             # All upstream steps deactivate, then all downstream steps
             # activate; a step on both sides is maintained without events.
-            settled, events = _settle_hierarchy(world, active, (active & ~up) | down)
+            fired = (active & ~up) | down
+            if _quiet(world, active, fired):
+                yield fired, vals, track, prev2
+                continue
+            settled, events = _settle_hierarchy(world, active, fired)
             if settled is None:
                 facts.inconclusive = True
                 continue
@@ -433,6 +465,20 @@ def _successors(world, active, vals, track, prev, facts):
             yield active, vals, track, prev2
 
 
+@cache
+def _subset_plan(n) -> tuple[tuple[int, int], ...]:
+    """For ``n`` enabled transitions, one (prefix position, last index) per
+    subset of two or more, in ``combinations`` order by size; positions
+    count the singles first, then the pairs, and so on."""
+    position = {(j,): j for j in range(n)}
+    plan = []
+    for r in range(2, n + 1):
+        for subset in combinations(range(n), r):
+            position[subset] = len(position)
+            plan.append((position[subset[:-1]], subset[-1]))
+    return tuple(plan)
+
+
 def _firing_subsets(enabled) -> list[tuple[int, int]]:
     """(upstream, downstream) unions of the non-empty subsets of enabled
     transitions in which no two fired transitions share an upstream step,
@@ -441,22 +487,28 @@ def _firing_subsets(enabled) -> list[tuple[int, int]]:
         return enabled
     if len(enabled) > ENABLED_CAP:
         # Fall back to single firings plus the full set.
-        candidates = [[e] for e in enabled]
-        candidates.append(enabled)
-    else:
-        candidates = (s for r in range(1, len(enabled) + 1)
-                      for s in combinations(enabled, r))
-    out = []
-    for subset in candidates:
         used = down = 0
-        for up, d in subset:
+        for up, d in enabled:
             if used & up:
-                break
+                return enabled
             used |= up
             down |= d
-        else:
-            out.append((used, down))
-    return out
+        return [*enabled, (used, down)]
+    # Each subset of two or more is its prefix subset plus one last member,
+    # and it is valid when its prefix is and the last member's upstream
+    # steps miss those the prefix uses. ``unions`` holds every subset in
+    # ``combinations`` order, None for an invalid one.
+    unions = list(enabled)
+    for prefix, last in _subset_plan(len(enabled)):
+        union = unions[prefix]
+        if union is not None:
+            used, down = union
+            up, d = enabled[last]
+            if not used & up:
+                unions.append((used | up, down | d))
+                continue
+        unions.append(None)
+    return [union for union in unions if union is not None]
 
 
 def _run_triggers(world, active, vals, events, facts, prev, inputs):
@@ -467,16 +519,14 @@ def _run_triggers(world, active, vals, events, facts, prev, inputs):
     (without time, repeated execution inside one activation cannot be told
     apart). In structural mode every triggered action may also be skipped.
     """
-    triggered = [action for i, delta in events
-                 for action in (world.on_activation if delta > 0
-                                else world.on_deactivation).get(i, ())]
-    if not triggered:
-        return [vals]
-
     # The result depends only on the values and the actions that may run,
-    # never on the rest of the state.
+    # never on the rest of the state. In structural mode the events fix
+    # those actions, so the memo is read before they are listed (events that
+    # trigger nothing are memoised too); semantic mode keys it by which
+    # triggered actions' conditions hold.
     runs = None
     if world.mode == "semantic":
+        triggered = _triggered(world, events)
         runs = tuple(a[4] is None or _eval_cond(world, a[4], active, vals, prev, inputs)
                      for a in triggered)
         if not any(runs):
@@ -488,6 +538,7 @@ def _run_triggers(world, active, vals, events, facts, prev, inputs):
     if runs is not None:
         pools = [[a for a, run in zip(triggered, runs) if run]]
     else:
+        triggered = _triggered(world, events)
         # Conditions havocked: any subset of the triggered actions may run.
         pools = [s for r in range(len(triggered) + 1) for s in combinations(triggered, r)]
 
@@ -508,3 +559,10 @@ def _run_triggers(world, active, vals, events, facts, prev, inputs):
     # whole exploration, so a memoised result needs no flag.
     out = world.trigger_results[key] = list(results) or [vals]
     return out
+
+
+def _triggered(world, events) -> list:
+    """The stored actions that the events trigger, in event order."""
+    return [action for i, delta in events
+            for action in (world.on_activation if delta > 0
+                           else world.on_deactivation).get(i, ())]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from grafcet_lint import analyze_spec, load_spec, parse_spec, serialize
+from grafcet_lint import analyze_spec, ingest, load_spec, parse_spec, serialize
 from grafcet_lint.checks import parse_queries
 from grafcet_lint.ingest import (
     SpecSchemaError,
@@ -65,6 +65,41 @@ def test_bad_condition_is_syntax_error():
     doc["partials"][0]["transitions"] = [{"id": "t", "from": ["1"], "to": ["1"],
                                           "cond": "a &"}]
     with pytest.raises(SpecSyntaxError, match="bad condition"):
+        parse_spec(doc)
+
+
+def test_each_text_is_parsed_once_per_spec(monkeypatch):
+    calls = []
+
+    def counted(parser):
+        def parse(text):
+            calls.append((parser.__name__, text))
+            return parser(text)
+        return parse
+
+    for name in ("parse_condition", "parse_arith"):
+        monkeypatch.setattr(ingest, name, counted(getattr(ingest, name)))
+    doc = {
+        "name": "m",
+        "variables": [{"name": "x", "kind": "input", "type": "bool"},
+                      {"name": "k", "kind": "internal", "type": "int", "init": 0}],
+        "partials": [{
+            "id": "P", "steps": [{"id": "1", "initial": True}, {"id": "2"}],
+            "transitions": [{"id": "t1", "from": ["1"], "to": ["2"], "cond": "x & k < 3"},
+                            {"id": "t2", "from": ["2"], "to": ["1"], "cond": "x & k < 3"}],
+            "actions": [{"kind": "stored", "step": s, "var": "k", "value": "k + 1",
+                         "cond": "x & k < 3"} for s in ("1", "2")],
+        }],
+    }
+    spec = parse_spec(doc)
+    assert calls == [("parse_condition", "x & k < 3"), ("parse_arith", "k + 1")]
+    t1, t2 = spec.partials[0].transitions
+    assert t1.condition is t2.condition
+    # A bad text fails where it first occurs, as it did before the memo.
+    doc["partials"][0]["transitions"][0]["cond"] = "x &"
+    doc["partials"][0]["actions"][1]["cond"] = "x &"
+    with pytest.raises(SpecSyntaxError, match=re.escape(
+            "<spec>: partials[0].transitions[0]: bad condition 'x &'")):
         parse_spec(doc)
 
 

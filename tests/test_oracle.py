@@ -14,7 +14,17 @@ from oracle_reference import enabled_reference, firing_subsets_reference
 import grafcet_lint
 from grafcet_lint import analyze_spec, parse_spec
 from grafcet_lint.conditions import StepRef, VarRef
-from grafcet_lint.oracle import _enabled, _firing_subsets, _World, explore, explore_partial
+from grafcet_lint import oracle
+from grafcet_lint.oracle import (
+    ENABLED_CAP,
+    _enabled,
+    _firing_subsets,
+    _quiet,
+    _settle_hierarchy,
+    _World,
+    explore,
+    explore_partial,
+)
 
 
 def test_linear_chain_no_pairs():
@@ -433,6 +443,78 @@ def test_indexed_successors_match_full_scan_reference():
                         if wake:
                             seen["woken" if active & wake else "asleep"] += 1
     assert len(seen) == 4 and all(seen.values()), seen
+
+
+def test_firing_subsets_match_reference_for_every_size():
+    # Upstream steps drawn from five bits, sources (no upstream step)
+    # included, so most lists hold transitions that share upstream steps;
+    # past ENABLED_CAP the fallback meets both a conflicting and a disjoint
+    # full set.
+    rng = random.Random(23)
+    for k in range(2, ENABLED_CAP + 2):
+        lists = [[(rng.getrandbits(5) & rng.getrandbits(5), rng.getrandbits(8))
+                  for _ in range(k)] for _ in range(30)]
+        lists.append([(1 << i, 1 << i) for i in range(k)])
+        for enabled in lists:
+            assert _firing_subsets(enabled) == list(firing_subsets_reference(enabled)), enabled
+
+
+def test_quiet_moves_need_no_settling():
+    """Wherever ``_quiet`` holds for a firing, settling returns the fired
+    mask unchanged and no events, so ``_successors`` may skip it."""
+    rng = random.Random(23)
+    specs = [randspec.random_spec(rng) for _ in range(60)]
+    specs += [randspec.random_forcing_spec(rng) for _ in range(60)]
+    specs += [randspec.random_hierarchy_spec(rng) for _ in range(60)]
+    seen = Counter()
+    for spec in specs:
+        steps = [spec.global_step(c.id, s) for c in spec.partials for s in c.steps]
+        for mode in ("structural", "semantic"):
+            tracked = tuple(rng.sample(steps, rng.randint(0, 2)))
+            try:
+                world = _World(spec, list(spec.partials), mode, tracked)
+            except ValueError:
+                continue  # refused by semantic mode
+            for _ in range(10):
+                active = rng.getrandbits(len(world.gids)) & rng.getrandbits(len(world.gids))
+                vals = tuple(rng.randint(-2, 6) for _ in world.stored_vars)
+                inputs = rng.choice(world.input_choices)
+                enabled = _enabled(world, active, vals, None, inputs)
+                for up, down in _firing_subsets(enabled):
+                    fired = (active & ~up) | down
+                    if _quiet(world, active, fired):
+                        seen["quiet"] += 1
+                        assert _settle_hierarchy(world, active, fired) == (fired, [])
+                    else:
+                        seen["not quiet"] += 1
+                        seen["forcing anchor active"] += bool(fired & world.forcing_anchors)
+    assert len(seen) == 3 and all(seen.values()), seen
+
+
+def test_product_of_cycles_in_closed_form(monkeypatch):
+    # Three initial cycles of 3, 4 and 5 steps, without hierarchy or stored
+    # actions: every firing is quiet, so only the initial state is settled.
+    # The product has 3 * 4 * 5 states, and each step pairs with every step
+    # of the other two cycles: 3 * 4 + 3 * 5 + 4 * 5 pairs.
+    spec = parse_spec({"name": "cycles", "partials": [
+        {"id": f"C{n}",
+         "steps": [{"id": f"s{i}", "initial": i == 0} for i in range(n)],
+         "transitions": [{"id": f"t{i}", "from": [f"s{i}"], "to": [f"s{(i + 1) % n}"]}
+                         for i in range(n)]}
+        for n in (3, 4, 5)]})
+    settled = []
+
+    def settle(world, prev_active, active):
+        settled.append(active)
+        return _settle_hierarchy(world, prev_active, active)
+
+    monkeypatch.setattr(oracle, "_settle_hierarchy", settle)
+    facts = explore(spec)
+    assert not facts.inconclusive
+    assert facts.states_seen == 60
+    assert len(facts.reachable) == 12
+    assert len(facts.pairs) == 47
+    assert len(settled) == 1
 
 
 def test_more_enabled_transitions_than_searched_is_inconclusive():
