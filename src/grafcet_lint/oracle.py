@@ -340,10 +340,10 @@ def _settle_hierarchy(world, prev_active, active):
     activity: the fired changes in index order, then the hierarchy's in the
     order applied."""
     watched = world.watched
-    changed = (prev_active ^ active) & watched
+    moved = prev_active ^ active
+    changed = moved & watched
     events = [(i, 1 if active >> i & 1 else -1) for i in _bits(changed)] if changed else []
-    if not ((prev_active ^ active) & world.enclosing_anchors
-            or active & world.forcing_anchors):
+    if not (moved & world.enclosing_anchors or active & world.forcing_anchors):
         return active, events
     was_active = prev_active
     for _ in range(world.settle_rounds):
