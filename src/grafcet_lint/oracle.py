@@ -27,13 +27,11 @@ those partials. A forcing order acts while its anchor is active and wins over
 an enclosing into the same partial. A freeze order ("*") only holds its
 target. The caps past which a run is inconclusive are fixed constants.
 
-Most moves need no settling. A move is quiet when it changes no watched step
-(one that triggers stored actions or counts activations), changes no
-enclosing anchor and leaves no forcing anchor active: then no event arises
-and no enclosing or forcing order acts, so the moved mask is already the
-settled one. Quiet moves skip the settle step, and the settle step returns
-right after its event scan on the same test; the search itself, its order
-and its facts are the same either way.
+Most moves need no settling. A move is quiet when it changes no enclosing
+anchor and leaves no forcing anchor active: then no enclosing or forcing
+order acts, so the moved mask is already the settled one, and the settle
+step returns right after listing the move's events (none when it changes no
+watched step either).
 """
 
 from __future__ import annotations
@@ -216,9 +214,6 @@ class _World:
         # or count activations.
         self.watched = sum(1 << i for i in {*self.on_activation, *self.on_deactivation,
                                              *self.track_at})
-        # A move that changes none of these steps is quiet, unless a forcing
-        # anchor is active after it (see ``_quiet``).
-        self.noticed = self.watched | self.enclosing_anchors
         # (values, events, which triggered actions run in semantic mode) ->
         # the valuations ``_run_triggers`` returns; filled while exploring.
         self.trigger_results: dict[tuple, list[tuple]] = {}
@@ -326,13 +321,6 @@ def _record(world, facts, states):
             facts.activations[step] = max(facts.activations.get(step, 0), n)
 
 
-def _quiet(world, prev_active, active) -> bool:
-    """Whether the move from ``prev_active`` to ``active`` needs no settling:
-    it changes no watched step and no enclosing anchor, and no forcing anchor
-    is active after it. ``_settle_hierarchy`` then returns ``(active, [])``."""
-    return not ((prev_active ^ active) & world.noticed or active & world.forcing_anchors)
-
-
 def _settle_hierarchy(world, prev_active, active):
     """Apply enclosing activations/deactivations and forcing orders until
     stable; returns (active, events), with active None when the iteration cap
@@ -432,11 +420,7 @@ def _successors(world, active, vals, track, prev, facts):
         for up, down in _firing_subsets(enabled):
             # All upstream steps deactivate, then all downstream steps
             # activate; a step on both sides is maintained without events.
-            fired = (active & ~up) | down
-            if _quiet(world, active, fired):
-                yield fired, vals, track, prev2
-                continue
-            settled, events = _settle_hierarchy(world, active, fired)
+            settled, events = _settle_hierarchy(world, active, (active & ~up) | down)
             if settled is None:
                 facts.inconclusive = True
                 continue

@@ -1,5 +1,6 @@
 """Explicit-state exploration oracle."""
 
+import copy
 import json
 import os
 import random
@@ -14,12 +15,10 @@ from oracle_reference import enabled_reference, firing_subsets_reference
 import grafcet_lint
 from grafcet_lint import analyze_spec, parse_spec
 from grafcet_lint.conditions import StepRef, VarRef
-from grafcet_lint import oracle
 from grafcet_lint.oracle import (
     ENABLED_CAP,
     _enabled,
     _firing_subsets,
-    _quiet,
     _settle_hierarchy,
     _World,
     explore,
@@ -460,8 +459,10 @@ def test_firing_subsets_match_reference_for_every_size():
 
 
 def test_quiet_moves_need_no_settling():
-    """Wherever ``_quiet`` holds for a firing, settling returns the fired
-    mask unchanged and no events, so ``_successors`` may skip it."""
+    """A move that changes no enclosing anchor and leaves no forcing anchor
+    active returns from ``_settle_hierarchy`` right after its event scan;
+    that early return must give what the settle rounds give. The rounds are
+    forced by a copy of the world whose anchor masks cover every step."""
     rng = random.Random(23)
     specs = [randspec.random_spec(rng) for _ in range(60)]
     specs += [randspec.random_forcing_spec(rng) for _ in range(60)]
@@ -475,6 +476,8 @@ def test_quiet_moves_need_no_settling():
                 world = _World(spec, list(spec.partials), mode, tracked)
             except ValueError:
                 continue  # refused by semantic mode
+            rounds = copy.copy(world)
+            rounds.enclosing_anchors = rounds.forcing_anchors = -1
             for _ in range(10):
                 active = rng.getrandbits(len(world.gids)) & rng.getrandbits(len(world.gids))
                 vals = tuple(rng.randint(-2, 6) for _ in world.stored_vars)
@@ -482,39 +485,34 @@ def test_quiet_moves_need_no_settling():
                 enabled = _enabled(world, active, vals, None, inputs)
                 for up, down in _firing_subsets(enabled):
                     fired = (active & ~up) | down
-                    if _quiet(world, active, fired):
-                        seen["quiet"] += 1
-                        assert _settle_hierarchy(world, active, fired) == (fired, [])
-                    else:
+                    settled = _settle_hierarchy(world, active, fired)
+                    assert settled == _settle_hierarchy(rounds, active, fired)
+                    moved = active ^ fired
+                    if moved & world.enclosing_anchors or fired & world.forcing_anchors:
                         seen["not quiet"] += 1
                         seen["forcing anchor active"] += bool(fired & world.forcing_anchors)
-    assert len(seen) == 3 and all(seen.values()), seen
+                    else:
+                        seen["quiet, events" if moved & world.watched else "quiet"] += 1
+                        assert settled[0] == fired
+    assert len(seen) == 4 and all(seen.values()), seen
 
 
-def test_product_of_cycles_in_closed_form(monkeypatch):
+def test_product_of_cycles_in_closed_form():
     # Three initial cycles of 3, 4 and 5 steps, without hierarchy or stored
-    # actions: every firing is quiet, so only the initial state is settled.
-    # The product has 3 * 4 * 5 states, and each step pairs with every step
-    # of the other two cycles: 3 * 4 + 3 * 5 + 4 * 5 pairs.
+    # actions, so every firing is quiet. The product has 3 * 4 * 5 states,
+    # and each step pairs with every step of the other two cycles:
+    # 3 * 4 + 3 * 5 + 4 * 5 pairs.
     spec = parse_spec({"name": "cycles", "partials": [
         {"id": f"C{n}",
          "steps": [{"id": f"s{i}", "initial": i == 0} for i in range(n)],
          "transitions": [{"id": f"t{i}", "from": [f"s{i}"], "to": [f"s{(i + 1) % n}"]}
                          for i in range(n)]}
         for n in (3, 4, 5)]})
-    settled = []
-
-    def settle(world, prev_active, active):
-        settled.append(active)
-        return _settle_hierarchy(world, prev_active, active)
-
-    monkeypatch.setattr(oracle, "_settle_hierarchy", settle)
     facts = explore(spec)
     assert not facts.inconclusive
     assert facts.states_seen == 60
     assert len(facts.reachable) == 12
     assert len(facts.pairs) == 47
-    assert len(settled) == 1
 
 
 def test_more_enabled_transitions_than_searched_is_inconclusive():
