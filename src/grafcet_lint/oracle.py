@@ -27,11 +27,11 @@ those partials. A forcing order acts while its anchor is active and wins over
 an enclosing into the same partial. A freeze order ("*") only holds its
 target. The caps past which a run is inconclusive are fixed constants.
 
-Most moves need no settling. A move is quiet when it changes no enclosing
-anchor and leaves no forcing anchor active: then no enclosing or forcing
-order acts, so the moved mask is already the settled one, and the settle
-step returns right after listing the move's events (none when it changes no
-watched step either).
+Most moves need no settling. A move is quiet when it changes no watched step
+(one that triggers stored actions or counts activations), changes no
+enclosing anchor and leaves no forcing anchor active: then no event arises
+and no enclosing or forcing order acts, so the moved mask is already the
+settled one. The search yields quiet moves without the settle step.
 """
 
 from __future__ import annotations
@@ -149,8 +149,6 @@ class _World:
         # activates and clears all of them at once.
         self.enclosings = [(anchor, marked, steps)
                            for anchor, (marked, steps) in enclosed.items()]
-        self.enclosing_anchors = sum(enclosed)
-        self.forcing_anchors = sum({anchor for anchor, _, _ in self.forcings})
         self.settle_rounds = 10 * (len(self.enclosings) + len(self.forcings) + 1)
 
         # (upstream, downstream, hold, wake, condition): a transition is
@@ -214,6 +212,10 @@ class _World:
         # or count activations.
         self.watched = sum(1 << i for i in {*self.on_activation, *self.on_deactivation,
                                              *self.track_at})
+        # A move that changes none of these steps is quiet, unless a forcing
+        # anchor is active after it.
+        self.noticed = self.watched | sum(enclosed)
+        self.forcing_anchors = sum({anchor for anchor, _, _ in self.forcings})
         # (values, events, which triggered actions run in semantic mode) ->
         # the valuations ``_run_triggers`` returns; filled while exploring.
         self.trigger_results: dict[tuple, list[tuple]] = {}
@@ -328,10 +330,9 @@ def _settle_hierarchy(world, prev_active, active):
     activity: the fired changes in index order, then the hierarchy's in the
     order applied."""
     watched = world.watched
-    moved = prev_active ^ active
-    changed = moved & watched
+    changed = (prev_active ^ active) & watched
     events = [(i, 1 if active >> i & 1 else -1) for i in _bits(changed)] if changed else []
-    if not (moved & world.enclosing_anchors or active & world.forcing_anchors):
+    if not world.enclosings and not world.forcings:
         return active, events
     was_active = prev_active
     for _ in range(world.settle_rounds):
@@ -411,6 +412,7 @@ def _eval_cond(world, cond, active, vals, prev, inputs) -> bool:
 
 def _successors(world, active, vals, track, prev, facts):
     semantic = world.mode == "semantic"
+    noticed, forcing = world.noticed, world.forcing_anchors
     for inputs in world.input_choices:
         prev2 = tuple(_value(world, ref, active, vals, inputs)
                       for ref in world.edge_operands) if semantic else None
@@ -420,7 +422,12 @@ def _successors(world, active, vals, track, prev, facts):
         for up, down in _firing_subsets(enabled):
             # All upstream steps deactivate, then all downstream steps
             # activate; a step on both sides is maintained without events.
-            settled, events = _settle_hierarchy(world, active, (active & ~up) | down)
+            fired = (active & ~up) | down
+            if not ((active ^ fired) & noticed or fired & forcing):
+                # Quiet: already settled, and nothing is triggered.
+                yield fired, vals, track, prev2
+                continue
+            settled, events = _settle_hierarchy(world, active, fired)
             if settled is None:
                 facts.inconclusive = True
                 continue
