@@ -212,8 +212,8 @@ class _World:
         # or count activations.
         self.watched = sum(1 << i for i in {*self.on_activation, *self.on_deactivation,
                                              *self.track_at})
-        # A move that changes none of these steps is quiet, unless a forcing
-        # anchor is active after it.
+        # A move that changes no watched step and no enclosing anchor is
+        # quiet, unless a forcing anchor is active after it.
         self.noticed = self.watched | sum(enclosed)
         self.forcing_anchors = sum({anchor for anchor, _, _ in self.forcings})
         # (values, events, which triggered actions run in semantic mode) ->
