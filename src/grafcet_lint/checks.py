@@ -168,6 +168,8 @@ def parse_queries(data: list[dict]) -> list[SafetyQuery]:
             if not isinstance(steps, list) or len(steps) != 2 or \
                     not all(isinstance(g, str) for g in steps):
                 raise ValueError(f"query {name!r}: 'steps' must list two global step ids")
+            if steps[0] == steps[1]:
+                raise ValueError(f"query {name!r}: 'steps' names {steps[0]!r} twice")
             out.append(SafetyQuery(name, kind, steps=(steps[0], steps[1])))
         elif kind == "never-coactive":
             _no_unknown(q, ("name", "kind", "a", "b"), f"query {name!r}")

@@ -21,17 +21,19 @@ transition is indexed under its lowest upstream step, so a state tests only
 the transitions of its active steps (and the source transitions), still in
 declaration order.
 
-After each move the hierarchy settles. An enclosing acts when its anchor's
-activity changes: it activates the enclosed partials' marked steps, or clears
-those partials. A forcing order acts while its anchor is active and wins over
-an enclosing into the same partial. A freeze order ("*") only holds its
-target. The caps past which a run is inconclusive are fixed constants.
+Every move, the initial one from no active step included, goes through one
+step: the hierarchy settles, tracked activations are counted and triggered
+stored actions run. An enclosing acts when its anchor's activity changes: it
+activates the enclosed partials' marked steps, or clears those partials. A
+forcing order acts while its anchor is active and wins over an enclosing
+into the same partial. A freeze order ("*") only holds its target. The caps
+past which a run is inconclusive are fixed constants.
 
-Most moves need no settling. A move is quiet when it changes no watched step
+Most moves skip that step. A move is quiet when it changes no watched step
 (one that triggers stored actions or counts activations), changes no
 enclosing anchor and leaves no forcing anchor active: then no event arises
 and no enclosing or forcing order acts, so the moved mask is already the
-settled one. The search yields quiet moves without the settle step.
+settled one, and the search yields it as it is.
 """
 
 from __future__ import annotations
@@ -255,27 +257,15 @@ def _explore(spec, partials, initial_override, mode, max_states,
         entry = [(partials[0].id, s) for s in initial_override]
     else:
         entry = [(c.id, s) for c in partials for s in c.initial]
-    active, events = _settle_hierarchy(world, 0, sum(world.bit[step] for step in entry))
-    if active is None:
-        facts.inconclusive = True
-        return facts
-    counts = [0] * len(world.tracked)
-    for i, delta in events:
-        if delta > 0 and i in world.track_at:
-            counts[world.track_at[i]] += 1
+    initial = sum(world.bit[step] for step in entry)
 
     # A state is (active mask, stored values, activation counts, previous
-    # edge-operand values); it is also its own seen-set key. The initial
-    # state has no history (None), except in semantic mode without edge
-    # operands: there every successor's history is (), and so is its own,
-    # or the initial configuration would be stored twice.
-    history = () if mode == "semantic" and not world.edge_operands else None
+    # edge-operand values or None); it is also its own seen-set key.
     seen = set()
     frontier = deque()
     for inputs in world.input_choices:
-        for vals in _run_triggers(world, active, world.initial_vals, events, facts,
-                                  None, inputs):
-            state = (active, vals, tuple(counts), history)
+        for state in _move(world, facts, 0, initial, world.initial_vals,
+                           (0,) * len(world.tracked), None, None, inputs):
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)
@@ -332,8 +322,6 @@ def _settle_hierarchy(world, prev_active, active):
     watched = world.watched
     changed = (prev_active ^ active) & watched
     events = [(i, 1 if active >> i & 1 else -1) for i in _bits(changed)] if changed else []
-    if not world.enclosings and not world.forcings:
-        return active, events
     was_active = prev_active
     for _ in range(world.settle_rounds):
         changed = False
@@ -415,7 +403,7 @@ def _successors(world, active, vals, track, prev, facts):
     noticed, forcing = world.noticed, world.forcing_anchors
     for inputs in world.input_choices:
         prev2 = tuple(_value(world, ref, active, vals, inputs)
-                      for ref in world.edge_operands) if semantic else None
+                      for ref in world.edge_operands) if world.edge_operands else None
         enabled = _enabled(world, active, vals, prev, inputs)
         if len(enabled) > ENABLED_CAP:
             facts.inconclusive = True
@@ -427,33 +415,33 @@ def _successors(world, active, vals, track, prev, facts):
                 # Quiet: already settled, and nothing is triggered.
                 yield fired, vals, track, prev2
                 continue
-            settled, events = _settle_hierarchy(world, active, fired)
-            if settled is None:
-                facts.inconclusive = True
-                continue
-            if not events:
-                # Nothing is triggered and no tracked step activated.
-                yield settled, vals, track, prev2
-                continue
-            track2 = track
-            if world.track_at:
-                counts = list(track)
-                overflow = False
-                for i, delta in events:
-                    if delta > 0 and i in world.track_at:
-                        n = world.track_at[i]
-                        counts[n] += 1
-                        overflow |= counts[n] > ACTIVATION_CAP
-                if overflow:
-                    facts.inconclusive = True
-                    continue
-                track2 = tuple(counts)
-            for vals2 in _run_triggers(world, settled, vals, events, facts, prev, inputs):
-                yield settled, vals2, track2, prev2
+            yield from _move(world, facts, active, fired, vals, track, prev, prev2, inputs)
         if semantic:
             # Stutter: a cycle in which no transition fires still records the
             # input valuation, so edge conditions can observe input changes.
             yield active, vals, track, prev2
+
+
+def _move(world, facts, before, after, vals, track, prev, prev2, inputs):
+    """Settle the moved mask ``after``, count tracked activations and yield the
+    states the triggered stored actions give; a move that never settles or
+    overflows a count yields nothing and makes the run inconclusive."""
+    settled, events = _settle_hierarchy(world, before, after)
+    if settled is None:
+        facts.inconclusive = True
+        return
+    if world.track_at:
+        counts = list(track)
+        for i, delta in events:
+            if delta > 0 and i in world.track_at:
+                n = world.track_at[i]
+                counts[n] += 1
+                if counts[n] > ACTIVATION_CAP:
+                    facts.inconclusive = True
+                    return
+        track = tuple(counts)
+    for vals2 in _run_triggers(world, settled, vals, events, facts, prev, inputs):
+        yield settled, vals2, track, prev2
 
 
 @cache

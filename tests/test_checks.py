@@ -145,6 +145,10 @@ class TestQueries:
             parse_queries([{"kind": "never-concurrent", "steps": ["only-one"]}])
         with pytest.raises(ValueError, match="missing term"):
             parse_queries([{"kind": "never-coactive", "a": {"var": "v"}}])
+        # A step is never concurrent with itself, so such a query would hold
+        # whatever the spec says.
+        with pytest.raises(ValueError, match="'steps' names 'c.s1' twice"):
+            parse_queries([{"kind": "never-concurrent", "steps": ["c.s1", "c.s1"]}])
 
     def test_never_concurrent(self, load_fixture):
         # In the alternating loop G7, steps 1 and 2 are never simultaneously

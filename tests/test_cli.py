@@ -241,6 +241,8 @@ def _coactive_sidecar(value):
                  id="sidecar-extra-member"),
     pytest.param(None, b'{"queries": [{"kind": "never-concurrent", "steps": [1, 2]}]}',
                  "two global step ids", id="sidecar-step-not-string"),
+    pytest.param(None, b'{"queries": [{"kind": "never-concurrent", "steps": ["c.s1", "c.s1"]}]}',
+                 "names 'c.s1' twice", id="sidecar-same-step-twice"),
     pytest.param(None, b'{"queries": [{"kind": "never-coactive", "a": {"var": []},'
                        b' "b": {"var": "k"}}]}', "missing term", id="sidecar-var-not-string"),
     pytest.param(None, b'{"queries": [\xff]}', "cannot read queries",

@@ -184,6 +184,32 @@ def test_clearing_a_forcing_encloser_clears_its_enclosed_partial():
     assert "P2.m" not in analyze_spec(spec).global_concurrency.get("P0.s2", set())
 
 
+def test_forcing_orders_that_fight_over_one_partial_never_settle():
+    # P1.a forces P3 into {x} and P2.b forces it into {y}: while both anchors
+    # are active, each round undoes the other order's work. A round in which
+    # an order acts is never the last, even when it ends where it began.
+    def spec(p2):
+        return parse_spec({"name": "fight", "partials": [
+            _chain("P1", ["a"], {"a": "initial"}, forcings=[("a", "P3", ["x"])]),
+            p2,
+            _chain("P3", ["x", "y"]),
+        ]})
+
+    both_initial = spec(_chain("P2", ["b"], {"b": "initial"},
+                               forcings=[("b", "P3", ["y"])]))
+    later = spec(_chain("P2", ["b0", "b"], {"b0": "initial"},
+                        forcings=[("b", "P3", ["y"])]))
+    for mode in ("structural", "semantic"):
+        # The initial move never settles, so no state is seen.
+        facts = explore(both_initial, mode=mode)
+        assert facts.inconclusive and facts.states_seen == 0, mode
+        assert facts.reachable == set(), mode
+        # The move into P2.b is dropped; the initial state is all there is.
+        facts = explore(later, mode=mode)
+        assert facts.inconclusive and facts.states_seen == 1, mode
+        assert facts.reachable == {"P1.a", "P2.b0", "P3.x"}, mode
+
+
 def test_forcing_pins_target(load_fixture):
     spec = load_fixture("fig4.grafcet.json")
     facts = explore(spec)
