@@ -106,7 +106,12 @@ def _cmd_analyze(args) -> int:
         _write_json(report, sys.stdout.write)
         sys.stdout.write("\n")
     else:
-        _print_text(result, findings, timings=not args.no_timings)
+        try:
+            _print_text(result, findings, timings=not args.no_timings)
+        except UnicodeEncodeError as exc:
+            print(f"grafcet-lint: the text report cannot be written in {exc.encoding}; "
+                  f"use --format json, whose output is ASCII", file=sys.stderr)
+            return EXIT_USAGE
 
     threshold = SEVERITIES.index(args.fail_on)
     if any(SEVERITIES.index(f.severity) <= threshold for f in findings):

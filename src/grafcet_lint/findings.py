@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-
 from .record import Record
 
 SEVERITIES = ("error", "warning", "info")
@@ -20,6 +18,8 @@ class Finding(Record):
     @property
     def stable_id(self) -> str:
         """Content hash of kind + location, stable across runs for CI diffs."""
+        import hashlib  # loads OpenSSL, which only the JSON report's ids need
+
         raw = f"{self.kind}:{self.partial or ''}:{self.element or ''}:{self.message}"
         return hashlib.sha256(raw.encode()).hexdigest()[:12]
 

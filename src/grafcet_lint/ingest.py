@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
@@ -52,17 +51,22 @@ class SpecSemanticError(SpecError):
 
 
 def load_spec(path: str | os.PathLike) -> GrafcetSpec:
-    """Read a spec file once; the result carries the sha256 of its bytes."""
+    """Read a spec file once; the result carries its bytes, and so their sha256."""
     with open(path, "rb") as f:
         data = f.read()
     return parse_spec(data, source=os.fspath(path))
 
 
 def parse_spec(doc: str | bytes | dict, source: str = "<spec>") -> GrafcetSpec:
-    """Parse a spec document (bytes: UTF-8, digest kept); validates, raises on errors."""
-    sha256 = None
+    """Parse a spec document and validate it; raises on errors.
+
+    Bytes are decoded as UTF-8 and kept as the spec's ``source`` field, from
+    which its ``sha256`` is computed on first read. The ``source`` argument is
+    only the name that error messages give the document.
+    """
+    raw = None
     if isinstance(doc, bytes):
-        sha256 = hashlib.sha256(doc).hexdigest()
+        raw = doc
         try:
             doc = doc.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -80,7 +84,7 @@ def parse_spec(doc: str | bytes | dict, source: str = "<spec>") -> GrafcetSpec:
             raise SpecSyntaxError(f"{source}: JSON nested too deeply") from exc
     else:
         data = doc
-    spec = _build_spec(data, source, sha256)
+    spec = _build_spec(data, source, raw)
     errors = validate(spec)
     if errors:
         raise SpecSemanticError(errors)
@@ -137,7 +141,7 @@ def _str_list(value, where):
     return value
 
 
-def _build_spec(data, source, sha256) -> GrafcetSpec:
+def _build_spec(data, source, raw) -> GrafcetSpec:
     _no_unknown(data, _TOP_FIELDS, source)
     name = _require(data, "name", str, source)
     variables = _list(data, "variables", source)
@@ -179,7 +183,7 @@ def _build_spec(data, source, sha256) -> GrafcetSpec:
         outputs=tuple(decls["output"]),
         partials=partials,
         queries=tuple(queries),
-        sha256=sha256,
+        source=raw,
     )
 
 

@@ -119,8 +119,21 @@ class GrafcetSpec(Record):
     partials: tuple[PartialGrafcet, ...]
     # Carried from the file, not part of the model: equality ignores them.
     queries: tuple[dict, ...] = ()  # raw embedded queries
-    sha256: str | None = None  # of the source bytes
-    _uncompared = ("queries", "sha256")
+    source: bytes | None = None  # the bytes parse_spec was given, if any
+    _uncompared = ("queries", "source")
+
+    @cached_property
+    def sha256(self) -> str | None:
+        """Hex sha256 of ``source``, computed on first read; None without source bytes.
+
+        ``hashlib`` loads OpenSSL, so it is imported here, by the reports that
+        print the digest, and not by every start.
+        """
+        if self.source is None:
+            return None
+        import hashlib
+
+        return hashlib.sha256(self.source).hexdigest()
 
     @cached_property
     def variables(self) -> dict[str, VariableDecl]:

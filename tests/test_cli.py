@@ -397,6 +397,23 @@ def test_report_digest_is_of_the_file_bytes(tmp_path, corpus, capsys, newline):
     assert json.loads(out)["spec"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_unencodable_text_report_is_a_usage_error(tmp_path):
+    # fig5 exits 0, so exit 1 could only come from the traceback.
+    path = tmp_path / "spec.grafcet.json"
+    path.write_bytes(_fig5_with(name="Prüfstand"))
+    src = str(Path(grafcet_lint.__file__).parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "ascii",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    command = [sys.executable, "-m", "grafcet_lint.cli", "analyze", str(path)]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "--format json" in proc.stderr, proc.stderr
+    proc = subprocess.run([*command, "--format", "json"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["spec"]["name"] == "Prüfstand"
+
+
 def test_oracle_subcommand(corpus, capsys):
     code, out, _ = _run(capsys, "oracle", str(corpus("fig5.grafcet.json")))
     assert code == 0
@@ -470,6 +487,32 @@ def test_cli_import_leaves_out_unused_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n[]\n", proc.stdout
+
+
+def test_cli_import_compiles_nothing_and_leaves_out_hashlib(corpus):
+    # Records compile their ``__init__`` on first construction, and the spec
+    # digest and finding ids import ``hashlib``, which loads OpenSSL, on first
+    # use; a text report needs neither. ``functools`` builds namedtuples with
+    # ``eval`` when imported, so only the package's own compiles count.
+    src = str(Path(grafcet_lint.__file__).parents[1])
+    code = ("import contextlib, io, sys\n"
+            "compiled = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'compile' and args[1] == '<string>':\n"
+            "        compiled.append(sys._getframe(1).f_globals['__name__'])\n"
+            "sys.addaudithook(hook)\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import grafcet_lint.cli\n"
+            "hashlib = {'hashlib', '_hashlib'}\n"
+            "print([m for m in compiled if m.startswith('grafcet_lint')])\n"
+            "print(sorted(hashlib & set(sys.modules)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = grafcet_lint.cli.main(['analyze', sys.argv[2]])\n"
+            "print(code, sorted(hashlib & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src,
+                           str(corpus("fig5.grafcet.json"))],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n[]\n0 []\n", proc.stdout
 
 
 def test_parser_is_built_once_per_process(corpus, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """File-format parsing, schema errors and serialization round-trips."""
 
+import hashlib
 import json
 import random
 import re
@@ -26,6 +27,19 @@ def test_minimal_spec():
     spec = parse_spec(MINIMAL)
     assert spec.name == "m"
     assert spec.partials[0].initial == frozenset({"1"})
+
+
+def test_digest_of_the_file_bytes_on_first_read(corpus):
+    path = corpus("g_rit.grafcet.json")
+    spec = load_spec(path)
+    assert spec.source == path.read_bytes()
+    assert "sha256" not in vars(spec)
+    assert spec.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert vars(spec)["sha256"] == spec.sha256
+    doc = path.read_text(encoding="utf-8")
+    for parsed in (parse_spec(doc), parse_spec(json.loads(doc))):
+        assert parsed.source is None and parsed.sha256 is None
+        assert parsed == spec
 
 
 def test_invalid_json_reports_position():

@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import corpus_path
 
+import grafcet_lint
 from grafcet_lint import analyze_spec, load_spec
 from grafcet_lint.checks import parse_queries
 from grafcet_lint.conditions import BoolLit, NaryOp, Not, StepRef, Term, VarRef, parse_condition
@@ -85,6 +89,49 @@ def test_missing_or_unknown_argument_is_a_type_error():
         VarRef("x", "y")
 
 
+def test_every_class_has_its_own_init_from_creation():
+    classes = [cls for cls in Record.__subclasses__()
+               if cls.__module__.startswith("grafcet_lint.")]
+    assert len(classes) == 25
+    for cls in classes:
+        assert "__init__" in vars(cls), cls.__name__
+
+    class Base(Record):
+        a: int
+
+    class Derived(Base):
+        a: int
+        b: int = 2
+
+    # Base compiles its __init__ first; Derived must not inherit it.
+    assert Base(1).a == 1 and "__init__" in vars(Derived)
+    assert vars(Derived(1)) == {"a": 1, "b": 2} and Derived(1, 3).b == 3
+    with pytest.raises(TypeError, match="Base.__init__"):
+        Base(1, 2)
+
+
+def test_first_construction_errors_as_later_ones_do():
+    # In a fresh process each construction below is its class's first, the
+    # one that compiles its __init__; the retry runs the compiled one.
+    src = str(Path(grafcet_lint.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from grafcet_lint.conditions import VarRef\n"
+            "from grafcet_lint.model import Transition\n"
+            "for make in (lambda: Transition('t1', frozenset()),\n"
+            "             lambda: VarRef(name='x', kind='input')):\n"
+            "    for _ in range(2):\n"
+            "        try:\n"
+            "            make()\n"
+            "        except TypeError as exc:\n"
+            "            print(exc)\n"
+            "print(Transition('t1', frozenset(), frozenset()).condition, VarRef('x').name)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    missing = "Transition.__init__() missing 1 required positional argument: 'downstream'"
+    unknown = "VarRef.__init__() got an unexpected keyword argument 'kind'"
+    assert proc.stdout.splitlines() == [missing, missing, unknown, unknown, "None x"]
+
+
 def test_assignment_and_deletion_raise_attribute_error():
     v = VarRef("x")
     with pytest.raises(AttributeError):
@@ -119,7 +166,7 @@ def test_spec_equality_ignores_queries_and_sha256():
     bare = GrafcetSpec(*fields)
     assert spec.sha256 is not None and bare.sha256 is None and bare.queries == ()
     assert bare == spec and hash(bare) == hash(spec)
-    assert GrafcetSpec(*fields, queries=({"kind": "x"},), sha256="0" * 64) == spec
+    assert GrafcetSpec(*fields, queries=({"kind": "x"},), source=b"{}") == spec
     assert GrafcetSpec(spec.name + "'", *fields[1:]) != spec
 
 
