@@ -11,8 +11,10 @@ Comparison and hashing are closures over ``operator.attrgetter``, so creating
 a class compiles nothing. Only ``__init__`` is generated source: a class's
 first construction compiles it, installs it on the class and calls it, so each
 class pays that compile at most once per process, and a class never
-constructed never pays it. A generated ``__init__`` with named parameters
-constructs about twice as fast as a generic ``*args, **kwargs`` one.
+constructed never pays it. Two threads that both construct a class's first
+record may both compile it; each installs an equivalent one. A generated
+``__init__`` with named parameters constructs about twice as fast as a
+generic ``*args, **kwargs`` one.
 """
 
 from operator import attrgetter

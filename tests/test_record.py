@@ -90,10 +90,7 @@ def test_missing_or_unknown_argument_is_a_type_error():
 
 
 def test_every_class_has_its_own_init_from_creation():
-    classes = [cls for cls in Record.__subclasses__()
-               if cls.__module__.startswith("grafcet_lint.")]
-    assert len(classes) == 25
-    for cls in classes:
+    for cls in Record.__subclasses__():
         assert "__init__" in vars(cls), cls.__name__
 
     class Base(Record):
