@@ -6,6 +6,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import __version__, checks, ingest
@@ -26,9 +27,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a short report is still buffered here
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed the output early: the report is incomplete, which
+        # must not read as "findings". The rest of the buffer goes to devnull,
+        # so the interpreter's final flush raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
 
 
 @functools.cache

@@ -5,20 +5,23 @@ one row per step and one column per transition, entries in {-1, 0, +1}.
 Invariants are computed with Farkas-style elimination over exact integers:
 S-invariants are semi-positive vectors y with y^T N = 0, T-invariants are
 semi-positive x with N x = 0, both reduced to minimal support and GCD 1.
+The analysis never builds N: each transition's column is read from its arcs,
+the S-rows are those columns transposed and the T-rows the columns themselves.
 Each Farkas row is sparse: a dict of its nonzero identity entries and one of
 its nonzero matrix entries. A column-to-row index finds the rows a column
 combines without scanning the others, a combination walks the smaller of its
 two rows (in place when no other combination reads the larger), and equal
 rows are dropped by a fingerprint of the identity part. Columns are still
 eliminated in order, so the cap counts what a dense elimination would: the
-rows kept plus every combined row. A cyclic chain of n steps costs O(n) row
-updates after the O(n^2) read of its dense matrix.
+rows kept plus every combined row. A cyclic chain of n steps costs O(n)
+overall, from reading its arcs to the last row update.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections import defaultdict
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import compress
 from math import gcd
@@ -55,35 +58,40 @@ def incidence(c: PartialGrafcet) -> list[list[int]]:
     return matrix
 
 
-def minimal_invariants(matrix: Sequence[Sequence[int]], cap: int = DEFAULT_CAP
-                       ) -> list[tuple[int, ...]]:
+def minimal_invariants(matrix: Sequence[Sequence[int] | Mapping[int, int]],
+                       cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """Minimal-support semi-positive integer vectors y with y . rows(matrix) = 0.
 
     Farkas elimination: rows of [matrix | I] are combined pairwise to cancel
     each column in turn; identity parts of surviving rows are the invariants.
+    The rows are either all dense (sequences of one length) or all sparse
+    (mappings from column index to nonzero entry, which are not modified);
+    both forms give the same vectors and count the same rows against the cap.
     """
     nrows = len(matrix)
     if nrows == 0:
         return []
-    columns = list(range(len(matrix[0])))  # a list: compress then reuses its ints
+    if isinstance(matrix[0], Mapping):
+        parts = list(map(dict, matrix))
+    else:
+        columns = list(range(len(matrix[0])))  # a list: compress then reuses its ints
+        parts = [{j: line[j] for j in compress(columns, line)} for line in matrix]
     # Live rows by id, each [identity part, matrix part, fingerprint]. The
     # fingerprint is the identity part's dot product with fixed pseudo-random
     # weights (the hashes of 1-tuples, which no hash seed changes), so it
     # follows every combination in O(1) and equal identity parts have equal
     # fingerprints; rows with equal fingerprints are compared in full.
     rows: dict[int, list] = {}
-    by_column: list = [[] for _ in columns]  # ids of rows nonzero there, dead ones too
+    by_column: dict[int, list] = defaultdict(list)  # ids of rows nonzero there, dead ones too
     by_print: dict[int, list[int]] = {}  # ids of live rows by fingerprint
-    for i, line in enumerate(matrix):
-        part = {}
-        for j in compress(columns, line):
-            part[j] = line[j]
+    for i, part in enumerate(parts):
+        for j in part:
             by_column[j].append(i)
         weight = hash((i,))
         rows[i] = [{i: 1}, part, weight]
         by_print.setdefault(weight, []).append(i)
     next_id = nrows
-    for j in columns:
+    for j in sorted(by_column):
         positive, negative = [], []
         # An id can be listed twice: a row updated in place can lose a column
         # and regain it.
@@ -205,22 +213,43 @@ def compute_invariants(c: PartialGrafcet, cap: int = DEFAULT_CAP,
                        solved: dict | None = None) -> tuple[InvariantSet, list[Finding]]:
     """S- and T-invariants of one partial and its per-step bounds.
 
-    ``solved`` maps an incidence matrix (a tuple of row tuples) to its S- and
-    T-invariants, or to the message of the cap it exceeded, for one ``cap``.
-    Passing one dict for every partial of a spec solves each distinct matrix
-    once; the bounds and the finding are still the partial's own.
+    ``solved`` maps a partial's arcs to its S- and T-invariants, or to the
+    message of the cap it exceeded, for one ``cap``. The key is the number of
+    steps and, per transition, the frozensets of its upstream and downstream
+    step indices: O(arcs) to build, and equal keys give equal incidence
+    matrices. Passing one dict for every partial of a spec solves each
+    distinct key once; the bounds and the finding are still the partial's own.
     """
     if solved is None:
         solved = {}
-    matrix = tuple(map(tuple, incidence(c)))
-    result = solved.get(matrix)
+    index = {s: i for i, s in enumerate(c.steps)}
+    lookup = index.__getitem__
+    arcs = tuple([(frozenset(map(lookup, t.upstream)), frozenset(map(lookup, t.downstream)))
+                  for t in c.transitions])
+    key = (len(index), arcs)
+    result = solved.get(key)
     if result is None:
+        # S-row i is step i's {transition: +1 if i is downstream, -1 if
+        # upstream}; a step on both sides nets 0 and is left out. Transitions
+        # and then steps are walked in index order, so every row and column
+        # lists its indices sorted, whatever the order of a set.
+        s_rows = [{} for _ in index]
+        for j, (up, down) in enumerate(arcs):
+            for i in up:
+                s_rows[i][j] = -1
+            for i in down:
+                if s_rows[i].pop(j, None) is None:
+                    s_rows[i][j] = 1
+        columns = [{} for _ in arcs]
+        for i, row in enumerate(s_rows):
+            for j, v in row.items():
+                columns[j][i] = v
         try:
-            result = (tuple(minimal_invariants(matrix, cap)),
-                      tuple(minimal_invariants(tuple(zip(*matrix)), cap)))
+            result = (tuple(minimal_invariants(s_rows, cap)),
+                      tuple(minimal_invariants(columns, cap)))
         except InvariantCapExceeded as exc:
             result = str(exc)
-        solved[matrix] = result
+        solved[key] = result
     if isinstance(result, str):
         return (
             InvariantSet((), (), {s: math.inf for s in c.steps}),
@@ -234,8 +263,9 @@ def compute_invariants(c: PartialGrafcet, cap: int = DEFAULT_CAP,
 def classify_boundedness(s_invariants, c: PartialGrafcet) -> dict[str, float]:
     """Per-step activation bound: the step's largest entry in a minimal
     S-invariant, math.inf if no S-invariant covers it."""
-    per_step: dict[str, float] = {}
-    for i, s in enumerate(c.steps):
-        entries = [y[i] for y in s_invariants if y[i] > 0]
-        per_step[s] = max(entries) if entries else math.inf
+    per_step: dict[str, float] = dict.fromkeys(c.steps, math.inf)
+    # Entries are nonnegative, so a step's largest entry is 0 iff none covers it.
+    for s, largest in zip(c.steps, map(max, zip(*s_invariants))):
+        if largest:
+            per_step[s] = largest
     return per_step

@@ -73,7 +73,7 @@ def analyze_spec(spec: GrafcetSpec) -> AnalysisResult:
 
     with timed("invariants"):
         inv_by_partial = {}
-        solved: dict = {}  # partials with one incidence matrix are solved once
+        solved: dict = {}  # partials with equal arcs (by step index) are solved once
         for c in spec.partials:
             inv, inv_findings = invariants.compute_invariants(c, solved=solved)
             inv_by_partial[c.id] = inv

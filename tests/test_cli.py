@@ -414,6 +414,28 @@ def test_unencodable_text_report_is_a_usage_error(tmp_path):
     assert json.loads(proc.stdout)["spec"]["name"] == "Prüfstand"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_output_is_a_usage_error(corpus, fmt):
+    # The pipe's read end is closed before the run starts, so every write
+    # fails, whether the report outruns the pipe buffer or not.
+    src = str(Path(grafcet_lint.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "grafcet_lint.cli", "analyze",
+             str(corpus("g_rit.grafcet.json")), "--format", fmt,
+             "--queries", str(corpus("g_rit.queries.json"))],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, check=False)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, \
+        proc.stderr
+
+
 def test_oracle_subcommand(corpus, capsys):
     code, out, _ = _run(capsys, "oracle", str(corpus("fig5.grafcet.json")))
     assert code == 0

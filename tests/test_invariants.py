@@ -9,7 +9,7 @@ import pytest
 from conftest import corpus_path
 from farkas_reference import minimal_invariants_reference
 from invariant_oracle import brute_force_invariants
-from randspec import random_spec
+from randspec import random_forcing_spec, random_hierarchy_spec, random_spec
 
 from grafcet_lint import analyze_spec, invariants, load_spec, parse_spec
 from grafcet_lint.invariants import (
@@ -235,12 +235,97 @@ def _reference_matrices():
         yield from _s_and_t(c)
 
 
+def _sparse(matrix):
+    return [{j: v for j, v in enumerate(line) if v} for line in matrix]
+
+
 def test_sparse_elimination_matches_dense_reference():
     # Same vectors, same rows counted against the cap: the sparse rows must
-    # eliminate the same columns in the same order and keep the same rows.
+    # eliminate the same columns in the same order and keep the same rows,
+    # whether the matrix is given dense or as sparse rows.
     for matrix in _reference_matrices():
-        assert _solution(minimal_invariants, matrix) == \
-            _solution(minimal_invariants_reference, matrix), matrix
+        expected = _solution(minimal_invariants_reference, matrix)
+        assert _solution(minimal_invariants, matrix) == expected, matrix
+        rows = _sparse(matrix)
+        assert _solution(minimal_invariants, rows) == expected, matrix
+        assert rows == _sparse(matrix)  # sparse rows are read, not modified
+
+
+def _spec(partial):
+    return parse_spec({"name": partial["id"], "partials": [partial]})
+
+
+def _chain(n):
+    """A cyclic chain of n steps, shaped like the benchmark's chains."""
+    return {
+        "id": "C",
+        "steps": [{"id": str(i), "initial": i == 1} for i in range(1, n + 1)],
+        "transitions": [{"id": f"t{i}", "from": [str(i)], "to": [str(i % n + 1)]}
+                        for i in range(1, n + 1)],
+    }
+
+
+def _ladder(w):
+    """A w-way split into 3-step branches joined back, like the benchmark's ladders."""
+    transitions = [{"id": "split", "from": ["0"], "to": [f"b{i}_1" for i in range(w)]}]
+    for i in range(w):
+        transitions += [{"id": f"t{i}_1", "from": [f"b{i}_1"], "to": [f"b{i}_2"]},
+                        {"id": f"t{i}_2", "from": [f"b{i}_2"], "to": [f"b{i}_3"]}]
+    transitions.append({"id": "join", "from": [f"b{i}_3" for i in range(w)], "to": ["0"]})
+    return {
+        "id": "L",
+        "steps": [{"id": "0", "initial": True}]
+                 + [{"id": f"b{i}_{j}"} for i in range(w) for j in (1, 2, 3)],
+        "transitions": transitions,
+    }
+
+
+def _arcs_partials():
+    compound = Path(__file__).with_name("compound.grafcet.json")
+    for path in sorted(corpus_path("").glob("*.grafcet.json")) + [compound]:
+        yield from load_spec(path).partials
+    for generator, seed in ((random_spec, 18), (random_forcing_spec, 19),
+                            (random_hierarchy_spec, 20)):
+        rng = random.Random(seed)
+        for _ in range(40):
+            yield from generator(rng).partials
+    yield _spec(_chain(176)).partials[0]
+    yield _spec(_ladder(16)).partials[0]
+
+
+def test_arcs_match_the_dense_matrix():
+    # compute_invariants reads each partial's arcs, never its incidence
+    # matrix; it must find the invariants of that matrix and of its
+    # transpose, and exceed the cap exactly where they do.
+    partials = list(_arcs_partials())
+    assert any(any(t.upstream & t.downstream for t in c.transitions) for c in partials)
+    for c in partials:
+        s_matrix, t_matrix = _s_and_t(c)
+        (s_invs, s_cap), (t_invs, t_cap) = _solution(minimal_invariants, s_matrix), \
+            _solution(minimal_invariants, t_matrix)
+        cap = max(s_cap, t_cap)
+        inv, findings = compute_invariants(c, cap=cap)
+        assert findings == [], c
+        assert (inv.s_invariants, inv.t_invariants) == (tuple(s_invs), tuple(t_invs)), c
+        if cap:
+            inv, findings = compute_invariants(c, cap=cap - 1)
+            assert [(f.kind, f.message) for f in findings] == [(
+                "analysis-incomplete",
+                f"invariant computation exceeded resource cap: more than {cap - 1} "
+                "intermediate invariant rows")], c
+            assert inv.bound == math.inf
+
+
+def test_analysis_reads_no_incidence_matrix(monkeypatch, load_fixture):
+    def refuse(c):
+        raise AssertionError(f"dense incidence matrix of {c.id} built")
+
+    monkeypatch.setattr(invariants, "incidence", refuse)
+    result = analyze_spec(load_fixture("g_rit.grafcet.json"))
+    assert len(result.invariants["G_RIT"].s_invariants) == 6
+    result = analyze_spec(_spec(_chain(2400)))
+    assert result.invariants["C"].s_invariants == ((1,) * 2400,)
+    assert result.invariants["C"].t_invariants == ((1,) * 2400,)
 
 
 def _counting(monkeypatch):
