@@ -183,6 +183,8 @@ def parse_queries(data: list[dict]) -> list[SafetyQuery]:
                 if not isinstance(value, bool):
                     raise ValueError(f"query {name!r}: term {side!r} value must be true or false")
                 terms.append((term["var"], value))
+            if terms[0][0] == terms[1][0]:
+                raise ValueError(f"query {name!r}: terms 'a' and 'b' both name {terms[0][0]!r}")
             out.append(SafetyQuery(name, kind, terms=tuple(terms)))
         else:
             raise ValueError(f"query {name!r}: unknown kind {kind!r}")

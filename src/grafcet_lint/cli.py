@@ -21,6 +21,10 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
 
+class UsageError(Exception):
+    """A usage or input error: ``main`` prints its message and exits 2."""
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -30,8 +34,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a short report is still buffered here
         return code
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except UsageError as exc:
+        print(f"grafcet-lint: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed the output early: the report is incomplete, which
         # must not read as "findings". The rest of the buffer goes to devnull,
@@ -39,6 +44,12 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return EXIT_USAGE
+    except Exception:
+        # A crash must not read as "findings" (exit 1): exit 2 and show where.
+        import traceback
+
+        traceback.print_exc()
         return EXIT_USAGE
 
 
@@ -83,17 +94,14 @@ def _load(path: str):
     try:
         return ingest.load_spec(path)
     except OSError as exc:
-        print(f"grafcet-lint: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"cannot read {path}: {exc}")
     except ingest.SpecError as exc:
-        print(f"grafcet-lint: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(exc)
 
 
 def _cmd_analyze(args) -> int:
     if args.dump_invariants and args.format != "json":
-        print("grafcet-lint: --dump-invariants requires --format json", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--dump-invariants requires --format json")
     spec = _load(args.spec)
     result = analyze_spec(spec)
     findings = list(result.findings)
@@ -107,8 +115,7 @@ def _cmd_analyze(args) -> int:
                                    queries, naive=args.naive)
             )
     except ValueError as exc:
-        print(f"grafcet-lint: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc)
 
     if args.format == "json":
         report = build_report(result, findings,
@@ -120,9 +127,8 @@ def _cmd_analyze(args) -> int:
         try:
             _print_text(result, findings, timings=not args.no_timings)
         except UnicodeEncodeError as exc:
-            print(f"grafcet-lint: the text report cannot be written in {exc.encoding}; "
-                  f"use --format json, whose output is ASCII", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"the text report cannot be written in {exc.encoding}; "
+                             f"use --format json, whose output is ASCII")
 
     threshold = SEVERITIES.index(args.fail_on)
     if any(SEVERITIES.index(f.severity) <= threshold for f in findings):
@@ -138,12 +144,10 @@ def _query_data(sidecar, spec):
         with open(sidecar, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
-        print(f"grafcet-lint: cannot read queries {sidecar}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"cannot read queries {sidecar}: {exc}")
     if isinstance(doc, dict) and list(doc) != ["queries"]:
-        print(f"grafcet-lint: queries {sidecar}: expected an object whose one member is "
-              f"'queries', found members {sorted(doc)}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"queries {sidecar}: expected an object whose one member is "
+                         f"'queries', found members {sorted(doc)}")
     return doc["queries"] if isinstance(doc, dict) else None
 
 
@@ -286,16 +290,14 @@ def _print_text(result: AnalysisResult, findings, timings: bool) -> None:
 
 def _cmd_oracle(args) -> int:
     if args.max_states < 1:
-        print("grafcet-lint: --max-states must be a positive integer", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--max-states must be a positive integer")
     from .oracle import explore
 
     spec = _load(args.spec)
     try:
         facts = explore(spec, mode=args.mode, max_states=args.max_states)
     except ValueError as exc:  # a spec the semantic mode cannot enumerate
-        print(f"grafcet-lint: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc)
     print(json.dumps({
         "reachable": sorted(facts.reachable),
         "concurrent_pairs": sorted(sorted(p) for p in facts.pairs),

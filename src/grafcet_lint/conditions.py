@@ -20,6 +20,7 @@ Edge events use ``re(x)`` / ``fe(x)`` for rising / falling edges.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Callable, Iterator, Mapping
 
@@ -40,6 +41,7 @@ __all__ = [
     "Term",
     "VarRef",
     "abstract_eval",
+    "add_ends",
     "arith_to_text",
     "concrete_eval",
     "parse_arith",
@@ -123,7 +125,8 @@ class Edge(Record):
 
 Condition = BoolLit | VarRef | StepRef | Cmp | Not | NaryOp | Edge
 
-_CMP_OPS = ("<=", ">=", "<>", "=", "<", ">")
+_COMPARE = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -231,7 +234,7 @@ class _Parser:
         # Either a comparison or a bare Boolean reference; decide by lookahead.
         left = self.parse_sum()
         kind, val, pos = self.cur
-        if kind == "op" and val in _CMP_OPS:
+        if kind == "op" and val in _COMPARE:
             self.advance()
             right = self.parse_sum()
             return Cmp(val, left, right)
@@ -292,24 +295,24 @@ class _Parser:
         raise CondParseError(f"expected a term, found {val or 'end of input'!r}", pos)
 
 
-def parse_condition(text: str) -> Condition:
-    """Parse a condition string into an expression tree."""
+def _parse_whole(text: str, parse: Callable[[_Parser], object]):
+    """``parse`` applied to a parser over ``text``, which must read all of it."""
     parser = _Parser(text)
-    cond = parser.parse_expr()
+    tree = parse(parser)
     kind, val, pos = parser.cur
     if kind != "eof":
         raise CondParseError(f"trailing input {val!r}", pos)
-    return cond
+    return tree
+
+
+def parse_condition(text: str) -> Condition:
+    """Parse a condition string into an expression tree."""
+    return _parse_whole(text, _Parser.parse_expr)
 
 
 def parse_arith(text: str) -> Arith:
     """Parse a linear integer expression (a stored action's value)."""
-    parser = _Parser(text)
-    expr = parser.parse_sum()
-    kind, val, pos = parser.cur
-    if kind != "eof":
-        raise CondParseError(f"trailing input {val!r}", pos)
-    return expr
+    return _parse_whole(text, _Parser.parse_sum)
 
 
 def walk(cond: Condition) -> Iterator[Condition]:
@@ -428,6 +431,13 @@ Interval = tuple[float, float]  # ends are ints or +-inf
 BOTH = frozenset({False, True})
 ONLY_TRUE = frozenset({True})
 ONLY_FALSE = frozenset({False})
+_INFINITIES = (math.inf, -math.inf)
+
+
+def add_ends(a, b):
+    """``a + b`` for interval ends: an infinite term makes the sum infinite,
+    and an int beyond the float range is never converted to float."""
+    return b if b in _INFINITIES else a if a in _INFINITIES else a + b
 
 
 def abstract_eval(cond: Condition, env: Callable[[VarRef | StepRef], object]) -> frozenset:
@@ -446,17 +456,14 @@ def abstract_eval(cond: Condition, env: Callable[[VarRef | StepRef], object]) ->
     if isinstance(cond, Not):
         return frozenset({not v for v in abstract_eval(cond.operand, env)})
     if isinstance(cond, NaryOp):
+        # One item that can only take the deciding outcome (False for '&',
+        # True for '|') decides; items that can only take the other give it.
+        decide, neutral = (ONLY_FALSE, ONLY_TRUE) if cond.op == "&" else (ONLY_TRUE, ONLY_FALSE)
         results = [abstract_eval(item, env) for item in cond.items]
-        if cond.op == "&":
-            if any(r == ONLY_FALSE for r in results):
-                return ONLY_FALSE
-            if all(r == ONLY_TRUE for r in results):
-                return ONLY_TRUE
-            return BOTH
-        if any(r == ONLY_TRUE for r in results):
-            return ONLY_TRUE
-        if all(r == ONLY_FALSE for r in results):
-            return ONLY_FALSE
+        if decide in results:
+            return decide
+        if all(r == neutral for r in results):
+            return neutral
         return BOTH
     if isinstance(cond, Edge):
         operand = abstract_eval(cond.operand, env)
@@ -480,8 +487,8 @@ def _eval_arith(expr: Arith, env) -> Interval:
         elif term.coeff:  # a zero term is 0, even on an unbounded variable
             vlo, vhi = env(VarRef(term.var))
             a, b = term.coeff * vlo, term.coeff * vhi
-            lo += min(a, b)
-            hi += max(a, b)
+            lo = add_ends(lo, min(a, b))
+            hi = add_ends(hi, max(a, b))
     return lo, hi
 
 
@@ -537,16 +544,8 @@ def concrete_eval(
         before = bool(prev(cond.operand))
         return (not before and now) if cond.kind == "re" else (before and not now)
     if isinstance(cond, Cmp):
-        left = _concrete_arith(cond.left, lookup)
-        right = _concrete_arith(cond.right, lookup)
-        return {
-            "=": left == right,
-            "<>": left != right,
-            "<": left < right,
-            "<=": left <= right,
-            ">": left > right,
-            ">=": left >= right,
-        }[cond.op]
+        return _COMPARE[cond.op](_concrete_arith(cond.left, lookup),
+                                 _concrete_arith(cond.right, lookup))
     raise TypeError(f"not a condition node: {cond!r}")
 
 

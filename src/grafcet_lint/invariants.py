@@ -23,7 +23,6 @@ import math
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from itertools import compress
 from math import gcd
 
 from .findings import Finding, finding
@@ -58,24 +57,17 @@ def incidence(c: PartialGrafcet) -> list[list[int]]:
     return matrix
 
 
-def minimal_invariants(matrix: Sequence[Sequence[int] | Mapping[int, int]],
+def minimal_invariants(matrix: Sequence[Mapping[int, int]],
                        cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """Minimal-support semi-positive integer vectors y with y . rows(matrix) = 0.
 
     Farkas elimination: rows of [matrix | I] are combined pairwise to cancel
     each column in turn; identity parts of surviving rows are the invariants.
-    The rows are either all dense (sequences of one length) or all sparse
-    (mappings from column index to nonzero entry, which are not modified);
-    both forms give the same vectors and count the same rows against the cap.
+    The rows are sparse: mappings from column index to nonzero entry, which
+    are read and not modified.
     """
     nrows = len(matrix)
-    if nrows == 0:
-        return []
-    if isinstance(matrix[0], Mapping):
-        parts = list(map(dict, matrix))
-    else:
-        columns = list(range(len(matrix[0])))  # a list: compress then reuses its ints
-        parts = [{j: line[j] for j in compress(columns, line)} for line in matrix]
+    parts = list(map(dict, matrix))
     # Live rows by id, each [identity part, matrix part, fingerprint]. The
     # fingerprint is the identity part's dot product with fixed pseudo-random
     # weights (the hashes of 1-tuples, which no hash seed changes), so it

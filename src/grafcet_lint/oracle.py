@@ -185,22 +185,21 @@ class _World:
         self.initial_vals = tuple(self.defaults[v] for v in self.stored_vars)
         # Stored actions by the step index whose activation or deactivation
         # triggers them, as (var position, constant, ((coeff, var position),
-        # ...), capped, condition); a Boolean literal is an uncapped constant.
+        # ...), condition); a Boolean literal is the constant 0 or 1.
         self.on_activation: dict[int, list] = {}
         self.on_deactivation: dict[int, list] = {}
         writers: dict[str, list[tuple[int, ActionKey]]] = {}
         for key, anchor, a in stored:
             if isinstance(a.value, bool):
-                const, terms, capped = int(a.value), (), False
+                const, terms = int(a.value), ()
             else:
                 const = sum(t.coeff * (1 if t.var is None else self.defaults.get(t.var, 0))
                             for t in a.value.terms if t.var not in self.stored_pos)
                 terms = tuple((t.coeff, self.stored_pos[t.var])
                               for t in a.value.terms if t.var in self.stored_pos)
-                capped = True
             table = self.on_deactivation if a.trigger == "deactivation" else self.on_activation
             table.setdefault(anchor.bit_length() - 1, []).append(
-                (self.stored_pos[a.var], const, terms, capped, a.condition))
+                (self.stored_pos[a.var], const, terms, a.condition))
             writers.setdefault(a.var, []).append((anchor, key))
         # Write-write conflicts: two distinct stored writers of one variable
         # attached to co-active steps.
@@ -462,8 +461,6 @@ def _firing_subsets(enabled) -> list[tuple[int, int]]:
     """(upstream, downstream) unions of the non-empty subsets of enabled
     transitions in which no two fired transitions share an upstream step,
     by size, then in the order of ``combinations``."""
-    if len(enabled) == 1:
-        return enabled
     if len(enabled) > ENABLED_CAP:
         # Fall back to single firings plus the full set.
         used = down = 0
@@ -506,7 +503,7 @@ def _run_triggers(world, active, vals, events, facts, prev, inputs):
     runs = None
     if world.mode == "semantic":
         triggered = _triggered(world, events)
-        runs = tuple(a[4] is None or _eval_cond(world, a[4], active, vals, prev, inputs)
+        runs = tuple(a[3] is None or _eval_cond(world, a[3], active, vals, prev, inputs)
                      for a in triggered)
         if not any(runs):
             return [vals]
@@ -526,9 +523,9 @@ def _run_triggers(world, active, vals, events, facts, prev, inputs):
         orders = permutations(pool) if len(pool) <= 4 else (pool, pool[::-1])
         for order in orders:
             new = list(vals)
-            for pos, const, terms, capped, _cond in order:
+            for pos, const, terms, _cond in order:
                 value = const + sum(coeff * new[p] for coeff, p in terms)
-                if capped and abs(value) > VALUE_CAP:
+                if abs(value) > VALUE_CAP:
                     facts.inconclusive = True
                     break
                 new[pos] = value

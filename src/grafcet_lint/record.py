@@ -4,8 +4,9 @@ A record acts as a frozen dataclass without the dataclass module, whose import
 pulls ``inspect``, ``ast``, ``dis`` and ``tokenize`` into every start. Its
 fields are its class's own annotations, in order; a class attribute of the
 same name is the field's default. Records compare and hash as the tuple of
-the fields not named in ``_uncompared``, never equal a record of another
-class, refuse assignment and keep a ``__dict__`` for ``cached_property``.
+the fields not named in ``_uncompared``, of which a class must have at least
+one; they never equal a record of another class, refuse assignment and keep
+a ``__dict__`` for ``cached_property``.
 
 Comparison and hashing are closures over ``operator.attrgetter``, so creating
 a class compiles nothing. Only ``__init__`` is generated source: a class's
@@ -30,14 +31,11 @@ class Record:
         compared = [n for n in cls._fields if n not in cls._uncompared]
         if len(compared) > 1:
             key = attrgetter(*compared)
-        elif compared:
+        else:
             one = attrgetter(*compared)
 
             def key(record):
                 return (one(record),)
-        else:
-            def key(record):
-                return ()
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:

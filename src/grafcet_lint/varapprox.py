@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .conditions import add_ends
 from .hierarchy import HierarchyGraph
 from .invariants import InvariantSet
 from .model import ContinuousAction, GrafcetSpec, StoredAction
@@ -82,7 +83,7 @@ def bound_executions(
                 for sit in entered_by:
                     entries = (1 if sit.source == "initial-steps" else
                                done.get(sit.from_partial, {}).get(sit.from_step, (math.inf,))[0])
-                    total += entries * inv.bound * len(sit.steps)
+                    total = add_ends(total, entries * inv.bound * len(sit.steps))
                 own[step] = ((math.inf, ("unbounded-entry",)) if total == math.inf
                              else (total, ("bound-times-initial",)))
     return {(c.id, i): ExecutionBound(a.step, *done[c.id][a.step])
@@ -158,9 +159,9 @@ def _approx_int(decl, writers, bounds) -> VarApprox:
             hi = max(hi, value)
         else:  # shift by +-c, applied up to `count` times in any order
             if value > 0:
-                pos_shift += value * count
+                pos_shift = add_ends(pos_shift, value * count)
             elif value < 0:
-                neg_shift += value * count
-    lo, hi = lo + neg_shift, hi + pos_shift
+                neg_shift = add_ends(neg_shift, value * count)
+    lo, hi = add_ends(lo, neg_shift), add_ends(hi, pos_shift)
     # The interval always hulls the initialization value zero.
     return VarApprox("int", interval=(min(lo, 0), max(hi, 0)))

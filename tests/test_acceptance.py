@@ -295,7 +295,8 @@ def test_criterion_6_solver_oracle():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         matrix = [[rng.choice((-1, -1, 0, 0, 0, 1, 1)) for _ in range(ncols)]
                   for _ in range(nrows)]
-        computed = minimal_invariants(matrix)
+        computed = minimal_invariants([{j: v for j, v in enumerate(line) if v}
+                                       for line in matrix])
         if any(max(v) > 6 for v in computed):
             continue  # outside the enumeration's range
         assert computed == brute_force_invariants(matrix), matrix

@@ -149,6 +149,10 @@ class TestQueries:
         # whatever the spec says.
         with pytest.raises(ValueError, match="'steps' names 'c.s1' twice"):
             parse_queries([{"kind": "never-concurrent", "steps": ["c.s1", "c.s1"]}])
+        # Nor does one variable ever hold two values at once.
+        with pytest.raises(ValueError, match="terms 'a' and 'b' both name 'x'"):
+            parse_queries([{"kind": "never-coactive", "a": {"var": "x", "value": True},
+                            "b": {"var": "x", "value": False}}])
 
     def test_never_concurrent(self, load_fixture):
         # In the alternating loop G7, steps 1 and 2 are never simultaneously
@@ -204,7 +208,7 @@ class TestQueries:
         result = analyze_spec(spec)
         q = parse_queries([{"kind": "never-coactive",
                             "a": {"var": "k", "value": True},
-                            "b": {"var": "k", "value": False}}])
+                            "b": {"var": "x", "value": False}}])
         with pytest.raises(ValueError, match="Boolean"):
             run_queries(spec, result.global_concurrency, result.global_reachable,
                         result.variables, q, naive=True)

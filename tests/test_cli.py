@@ -215,7 +215,7 @@ def _fig5_with_action(**fields):
 def _coactive_sidecar(value):
     return json.dumps({"queries": [{"kind": "never-coactive",
                                     "a": {"var": "k", "value": value},
-                                    "b": {"var": "k"}}]}).encode()
+                                    "b": {"var": "x"}}]}).encode()
 
 
 @pytest.mark.parametrize("spec, sidecar, message", [
@@ -243,6 +243,9 @@ def _coactive_sidecar(value):
                  "two global step ids", id="sidecar-step-not-string"),
     pytest.param(None, b'{"queries": [{"kind": "never-concurrent", "steps": ["c.s1", "c.s1"]}]}',
                  "names 'c.s1' twice", id="sidecar-same-step-twice"),
+    pytest.param(None, b'{"queries": [{"kind": "never-coactive", "a": {"var": "x"},'
+                       b' "b": {"var": "x", "value": false}}]}',
+                 "terms 'a' and 'b' both name 'x'", id="sidecar-same-variable-twice"),
     pytest.param(None, b'{"queries": [{"kind": "never-coactive", "a": {"var": []},'
                        b' "b": {"var": "k"}}]}', "missing term", id="sidecar-var-not-string"),
     pytest.param(None, b'{"queries": [\xff]}', "cannot read queries",
@@ -434,6 +437,18 @@ def test_closed_output_is_a_usage_error(corpus, fmt):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, \
         proc.stderr
+
+
+def test_internal_error_exits_2_with_its_traceback(corpus, capsys, monkeypatch):
+    # A crash must not read as findings (exit 1), nor as a one-line usage error.
+    def crash(spec):
+        raise RuntimeError("analysis crashed")
+
+    monkeypatch.setattr(cli, "analyze_spec", crash)
+    code, _, err = _run(capsys, "analyze", str(corpus("fig5.grafcet.json")))
+    assert code == 2
+    assert "Traceback" in err and "RuntimeError: analysis crashed" in err
+    assert len(err.splitlines()) > 1, err
 
 
 def test_oracle_subcommand(corpus, capsys):

@@ -105,11 +105,15 @@ def _random_matrix(rng):
             for _ in range(nrows)]
 
 
+def _sparse(matrix):
+    return [{j: v for j, v in enumerate(line) if v} for line in matrix]
+
+
 def test_matches_brute_force_on_random_matrices():
     rng = random.Random(3)
     for _ in range(120):
         matrix = _random_matrix(rng)
-        computed = minimal_invariants(matrix)
+        computed = minimal_invariants(_sparse(matrix))
         if any(max(v) > 6 for v in computed):
             # Outside the exhaustive oracle's range; checked by substitution only.
             assert all(_substitute(matrix, v) for v in computed)
@@ -121,7 +125,7 @@ def test_solutions_substitute_to_zero():
     rng = random.Random(4)
     for _ in range(60):
         matrix = _random_matrix(rng)
-        for v in minimal_invariants(matrix):
+        for v in minimal_invariants(_sparse(matrix)):
             assert _substitute(matrix, v)
             assert all(x >= 0 for x in v) and any(x > 0 for x in v)
             assert math.gcd(*v) == 1 if len(v) > 1 else v[0] == 1
@@ -131,7 +135,7 @@ def test_supports_are_incomparable():
     rng = random.Random(5)
     for _ in range(40):
         matrix = _random_matrix(rng)
-        vectors = minimal_invariants(matrix)
+        vectors = minimal_invariants(_sparse(matrix))
         supports = [frozenset(i for i, x in enumerate(v) if x) for v in vectors]
         for i, a in enumerate(supports):
             for j, b in enumerate(supports):
@@ -139,17 +143,17 @@ def test_supports_are_incomparable():
 
 
 def test_cap_raises():
-    matrix = [[(-1) ** (i + j) for j in range(8)] for i in range(8)]
+    rows = _sparse([[(-1) ** (i + j) for j in range(8)] for i in range(8)])
     with pytest.raises(InvariantCapExceeded):
-        minimal_invariants(matrix, cap=15)
-    minimal_invariants(matrix, cap=16)
+        minimal_invariants(rows, cap=15)
+    minimal_invariants(rows, cap=16)
 
 
 def _smallest_passing_cap(matrix):
     cap = 0
     while True:
         try:
-            minimal_invariants(matrix, cap=cap)
+            minimal_invariants(_sparse(matrix), cap=cap)
             return cap
         except InvariantCapExceeded:
             cap += 1
@@ -175,8 +179,8 @@ def _cycle(n):
 
 def test_long_cycle_within_default_cap():
     matrix = _cycle(600)
-    assert minimal_invariants(matrix) == [(1,) * 600]
-    assert minimal_invariants([list(col) for col in zip(*matrix)]) == [(1,) * 600]
+    assert minimal_invariants(_sparse(matrix)) == [(1,) * 600]
+    assert minimal_invariants(_sparse(zip(*matrix))) == [(1,) * 600]
 
 
 def test_cap_surfaces_as_incomplete_finding(load_fixture):
@@ -235,17 +239,12 @@ def _reference_matrices():
         yield from _s_and_t(c)
 
 
-def _sparse(matrix):
-    return [{j: v for j, v in enumerate(line) if v} for line in matrix]
-
-
 def test_sparse_elimination_matches_dense_reference():
     # Same vectors, same rows counted against the cap: the sparse rows must
-    # eliminate the same columns in the same order and keep the same rows,
-    # whether the matrix is given dense or as sparse rows.
+    # eliminate the same columns in the same order and keep the same rows
+    # as the dense reference.
     for matrix in _reference_matrices():
         expected = _solution(minimal_invariants_reference, matrix)
-        assert _solution(minimal_invariants, matrix) == expected, matrix
         rows = _sparse(matrix)
         assert _solution(minimal_invariants, rows) == expected, matrix
         assert rows == _sparse(matrix)  # sparse rows are read, not modified
@@ -301,8 +300,8 @@ def test_arcs_match_the_dense_matrix():
     assert any(any(t.upstream & t.downstream for t in c.transitions) for c in partials)
     for c in partials:
         s_matrix, t_matrix = _s_and_t(c)
-        (s_invs, s_cap), (t_invs, t_cap) = _solution(minimal_invariants, s_matrix), \
-            _solution(minimal_invariants, t_matrix)
+        (s_invs, s_cap), (t_invs, t_cap) = _solution(minimal_invariants, _sparse(s_matrix)), \
+            _solution(minimal_invariants, _sparse(t_matrix))
         cap = max(s_cap, t_cap)
         inv, findings = compute_invariants(c, cap=cap)
         assert findings == [], c

@@ -473,9 +473,9 @@ def test_firing_subsets_match_reference_for_every_size():
     # Upstream steps drawn from five bits, sources (no upstream step)
     # included, so most lists hold transitions that share upstream steps;
     # past ENABLED_CAP the fallback meets both a conflicting and a disjoint
-    # full set.
+    # full set. No and one enabled transition take the general path too.
     rng = random.Random(23)
-    for k in range(2, ENABLED_CAP + 2):
+    for k in range(ENABLED_CAP + 2):
         lists = [[(rng.getrandbits(5) & rng.getrandbits(5), rng.getrandbits(8))
                   for _ in range(k)] for _ in range(30)]
         lists.append([(1 << i, 1 << i) for i in range(k)])

@@ -216,6 +216,50 @@ def _marked_chain(depth):
             "partials": partials}
 
 
+def _past_float_range(variant):
+    """P0 with three initial steps, then P1..P323 with three marked steps
+    each, every step of one enclosing the next: P323's steps run up to
+    3 * 9**323 times, past the largest float. A root cycle R: r1 <-> r2.
+
+    a: R.r1 also encloses P323, whose m1 stores ``k := k + 1``;
+    b: R.r1 stores ``k := k + 1``, and so does P323's m1;
+    c: only P323's m1 stores ``k := k + 1``; R's t1 reads ``k + m`` for an
+       integer input m."""
+    partials = [{"id": "P0", "steps": [{"id": f"m{j}", "initial": True} for j in (1, 2, 3)]}]
+    partials += [{"id": f"P{i}", "steps": [{"id": f"m{j}", "marked": True} for j in (1, 2, 3)]}
+                 for i in range(1, 324)]
+    for i, p in enumerate(partials[:-1]):
+        p["enclosings"] = [{"step": f"m{j}", "target": f"P{i + 1}"} for j in (1, 2, 3)]
+    increment = {"kind": "stored", "step": "m1", "var": "k", "value": "k + 1"}
+    partials[-1]["actions"] = [increment]
+    root = {"id": "R", "steps": [{"id": "r1", "initial": True}, {"id": "r2"}],
+            "transitions": [{"id": "t1", "from": ["r1"], "to": ["r2"]},
+                            {"id": "t2", "from": ["r2"], "to": ["r1"]}]}
+    variables = [{"name": "k", "kind": "internal", "type": "int", "init": 0}]
+    if variant == "a":
+        root["enclosings"] = [{"step": "r1", "target": "P323"}]
+    elif variant == "b":
+        root["actions"] = [{**increment, "step": "r1"}]
+    else:
+        root["transitions"][0]["cond"] = "k + m > 0"
+        variables.append({"name": "m", "kind": "input", "type": "int"})
+    return parse_spec({"name": "past-float-range", "variables": variables,
+                       "partials": [*partials, root]})
+
+
+def test_counts_past_the_float_range_stay_exact_or_infinite():
+    # Adding math.inf to an int past the float range would raise OverflowError.
+    result = analyze_spec(_past_float_range("a"))
+    bound = result.bounds[("P323", 0)]
+    assert (bound.count, bound.reasons) == (math.inf, ("unbounded-entry",))
+    result = analyze_spec(_past_float_range("b"))
+    assert result.bounds[("P323", 0)].count == 3 * 9**323
+    assert result.variables["k"].to_dict()["hi"] == "+inf"
+    result = analyze_spec(_past_float_range("c"))
+    assert result.variables["k"].interval == (0, 3 * 9**323)
+    assert not [f for f in result.findings if f.kind == "unsat-condition"]
+
+
 def test_bounds_match_recursive_reference():
     for path in sorted(corpus_path("").glob("*.grafcet.json")):
         assert not _compare_with_reference(load_spec(path))[1]
